@@ -16,12 +16,14 @@ race:
 	$(GO) test -race ./internal/service/ ./internal/eval/ ./internal/shard/ ./internal/delta/ ./internal/wal/ ./internal/watch/ ./internal/trace/ ./internal/trace/export/
 
 # Fuzz smoke: a short budgeted run of each native fuzz target, catching
-# decoder panics and non-canonical encodings before they reach a corpus.
-# One -fuzz pattern per invocation: go test rejects multiple fuzz targets
-# in a single run.
+# decoder panics and non-canonical encodings before they reach a corpus,
+# and any input on which the skyband-pruned 2-D sweep disagrees with the
+# unfiltered one. One -fuzz pattern per invocation: go test rejects
+# multiple fuzz targets in a single run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzFindRanges -fuzztime 10s ./internal/sweep/
 
 # Tier-1 benchmarks, 5 repetitions for benchstat-able variance. CI uploads
 # bench.txt as an artifact so every PR leaves a perf data point to compare

@@ -96,8 +96,9 @@ type memoEntry struct {
 // and fanning out only the cheap per-query tails:
 //
 //   - 2DRRR: one sweep.FindRangesMulti pass computes Algorithm 1's ranges
-//     for every distinct k in the batch (the sweep is the O(n² log n)
-//     phase); the per-k interval covers run on a bounded worker pool.
+//     for every distinct k in the batch (the sweep, over the largest k's
+//     skyband, is the expensive phase); the per-k interval covers run on
+//     a bounded worker pool.
 //   - MDRRR: one shared K-SETr function stream feeds every k's collection
 //     (kset.SampleMulti); the per-k hitting sets run on the pool.
 //   - MDRC: no shared phase exists (each k partitions the function space

@@ -227,12 +227,12 @@ func BenchmarkSolveSequential8K(b *testing.B) {
 // --- sharded map-reduce engine ---------------------------------------------
 
 // shardBenchCases are the acceptance workloads for the map-reduce engine:
-// the 2-D path (where the map phase replaces one O(n²) sweep with P
-// parallel O((n/P)²) sweeps plus a reduce sweep over the pruned pool) and
-// the MDRC path (where every corner top-k scan shrinks from n to the
-// candidate pool). Sharded and sequential runs produce identical IDs —
-// tested in shards_test.go — so the ratio of these benchmarks is pure
-// speedup, recorded in EXPERIMENTS.md §5.
+// the 2-D path (where the map phase replaces one sweep with P parallel
+// per-shard sweeps plus a reduce sweep over the pruned pool) and the MDRC
+// path (where every corner top-k scan shrinks from n to the candidate
+// pool). Sharded and sequential runs produce identical IDs — tested in
+// shards_test.go — so the ratio of these benchmarks compares cost alone,
+// recorded in EXPERIMENTS.md §5.
 var shardBenchCases = []struct {
 	name    string
 	kind    string

@@ -8,6 +8,7 @@ package rrr_test
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -21,9 +22,17 @@ func slowDataset(t *testing.T, algorithm rrr.Algorithm) (*rrr.Dataset, int, []rr
 	t.Helper()
 	switch algorithm {
 	case rrr.Algo2DRRR:
-		// Anti-correlated 2-D data maximizes ordering exchanges: the sweep
-		// processes Θ(n²) events, several seconds at n = 4000.
-		d, err := rrr.AntiCorrelated(4000, 2, 1).Normalize()
+		// Points on the quarter circle (cos φ, sin φ): no tuple dominates
+		// another, so the sweep's k-skyband prefilter keeps every one, and
+		// every pair exchanges once — n(n−1)/2 ≈ 8M events at n = 4000,
+		// seconds of sweeping.
+		const n = 4000
+		points := make([][]float64, n)
+		for i := range points {
+			phi := (float64(i) + 0.5) / n * math.Pi / 2
+			points[i] = []float64{math.Cos(phi), math.Sin(phi)}
+		}
+		d, err := rrr.NewDataset(points)
 		if err != nil {
 			t.Fatal(err)
 		}

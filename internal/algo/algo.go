@@ -55,8 +55,9 @@ type Stats struct {
 	// top-1 (MDRC only; 0 in every experiment we ran, matching the paper's
 	// observation that corners quickly share items).
 	Fallbacks int
-	// TopKQueries counts top-k computations, before memoization (MDRC
-	// only).
+	// TopKQueries counts the corner top-k scans MDRC actually computed:
+	// memo misses only (every corner when memoization is disabled), and
+	// not the top-1 scans of Fallbacks (MDRC only).
 	TopKQueries int
 	// CacheHits counts memoized corner top-k reuses (MDRC only).
 	CacheHits int

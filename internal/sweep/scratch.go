@@ -11,10 +11,11 @@ import (
 )
 
 // Scratch is a reusable arena for the sweep's per-solve state: the rank
-// order and position arrays, the event heap, the pending-pair set, and the
-// per-tuple boundary state of FindRangesScratch. A warm Scratch makes
-// repeated sweeps over same-sized datasets allocation-free — every slice is
-// resized in place and the pending set's table is rewiped, not reallocated.
+// order and position arrays, the k-skyband heap, the event heap, the
+// pending-pair set, and the per-tuple boundary state of FindRangesScratch.
+// A warm Scratch makes repeated sweeps over same-sized datasets
+// allocation-free — every slice is resized in place and the pending set's
+// table is rewiped, not reallocated.
 //
 // A Scratch is owned by exactly one sweep at a time: it is not safe for
 // concurrent use, and the []Range returned by FindRangesScratch aliases the
@@ -26,6 +27,7 @@ type Scratch struct {
 	heap    eventHeap
 	pending pairSet
 	sorter  initialSorter
+	band    []float64 // the k-skyband pass's heap of x2 values
 
 	// FindRangesScratch per-tuple boundary state, indexed by dataset-local
 	// index instead of the ID-keyed maps the legacy API used.
@@ -83,24 +85,19 @@ func growBytes(s []uint8, n int) []uint8 {
 	return make([]uint8, n)
 }
 
-// initOrder fills sc.order with the initial rank order and sc.pos with its
-// inverse, reusing the arena's slices.
+// initOrder fills sc.order with the initial rank order, reusing the
+// arena's slice.
 func (sc *Scratch) initOrder(d *core.Dataset) error {
 	if d.Dims() != 2 {
 		return errors.New("sweep: requires a 2-D dataset")
 	}
-	n := d.N()
-	sc.order = growInts(sc.order, n)
+	sc.order = growInts(sc.order, d.N())
 	for i := range sc.order {
 		sc.order[i] = i
 	}
 	sc.sorter.ts, sc.sorter.idx = d.Tuples(), sc.order
 	sort.Sort(&sc.sorter)
 	sc.sorter.ts, sc.sorter.idx = nil, nil // do not retain the dataset
-	sc.pos = growInts(sc.pos, n)
-	for p, li := range sc.order {
-		sc.pos[li] = p
-	}
 	return nil
 }
 
@@ -112,9 +109,10 @@ func (sc *Scratch) resetQueue() {
 
 // schedule pushes the exchange event for the adjacent pair at positions
 // (p, p+1) when it will cross ahead of the sweep — the arena twin of the
-// closure inside Sweep.
+// closure inside sweepLocal. n is the dataset size, the stride of the
+// pending-pair key; the order itself may be shorter.
 func (sc *Scratch) schedule(p, n int, ts []core.Tuple) {
-	if p < 0 || p+1 >= n {
+	if p < 0 || p+1 >= len(sc.order) {
 		return
 	}
 	u, v := sc.order[p], sc.order[p+1]
@@ -161,6 +159,16 @@ func FindRangesScratch(ctx context.Context, d *core.Dataset, k int, sc *Scratch)
 		return nil, fmt.Errorf("%w: k=%d, n=%d", ErrKExceedsN, k, n)
 	}
 	ts := d.Tuples()
+	// Sweep only the k-skyband: the dropped tuples never reach the top-k
+	// boundary. Local indexes stay dataset-wide, so pos, the boundary
+	// state and the pending-pair key keep their full size n.
+	sc.band = growFloats(sc.band, n) // sized by n, not k, so any k reuses it
+	sc.order, sc.band = skyband(ts, sc.order, k, sc.band)
+	m := len(sc.order)
+	sc.pos = growInts(sc.pos, n)
+	for p, li := range sc.order {
+		sc.pos[li] = p
+	}
 	sc.lo = growFloats(sc.lo, n)
 	sc.hi = growFloats(sc.hi, n)
 	sc.flags = growBytes(sc.flags, n)
@@ -172,18 +180,18 @@ func FindRangesScratch(ctx context.Context, d *core.Dataset, k int, sc *Scratch)
 		sc.flags[li] = stateSeen | stateInTop
 	}
 	sc.resetQueue()
-	for p := 0; p < n-1; p++ {
+	for p := 0; p < m-1; p++ {
 		sc.schedule(p, n, ts)
 	}
-	// The event loop mirrors Sweep exactly (same heap order, same staleness
-	// rule), inlined here so the boundary bookkeeping runs on local-index
-	// slices with no callback in the way.
+	// The event loop mirrors sweepLocal exactly (same heap order, same
+	// staleness rule), inlined here so the boundary bookkeeping runs on
+	// local-index slices with no callback in the way.
 	events := 0
 	for len(sc.heap) > 0 {
 		e := sc.heap.pop()
 		sc.pending.remove(int64(e.above)*int64(n) + int64(e.below))
 		p := sc.pos[e.above]
-		if p+1 >= n || sc.order[p+1] != e.below {
+		if p+1 >= m || sc.order[p+1] != e.below {
 			continue // stale: pair separated; rescheduled on re-adjacency
 		}
 		events++

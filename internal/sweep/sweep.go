@@ -16,6 +16,11 @@
 //
 // The sweep performs O(E log n) work where E ≤ n(n−1)/2 is the number of
 // ordering exchanges, matching the paper's quadratic bound (Theorem 2).
+// FindRanges and FindRangesMulti first drop, in O(n log k), every tuple
+// that k others beat on both attributes (the k-skyband prefilter), so they
+// sweep only the s surviving tuples: O(n log n + E_s log s) with
+// E_s ≤ s(s−1)/2. Sweep, KSets and ExactRankRegret need every tuple's true
+// rank and sweep all n.
 package sweep
 
 import (
@@ -154,9 +159,12 @@ func Sweep(d *core.Dataset, visit func(Event) bool) (int, error) {
 // sweepLocal is the event loop shared by Sweep and FindRangesMulti: it
 // consumes a pre-computed initial local order (which it mutates) and
 // invokes visit with local-index events, sparing slice-state consumers the
-// ID round-trip. FindRangesScratch inlines the same loop on its arena.
+// ID round-trip. The order may cover only some of the dataset's tuples
+// (FindRangesMulti passes its k-skyband); local indexes, and so the
+// position array and the pending-pair key, stay dataset-wide.
+// FindRangesScratch inlines the same loop on its arena.
 func sweepLocal(d *core.Dataset, order []int, visit func(e event, p int) bool) (int, error) {
-	n := d.N()
+	n, m := d.N(), len(order)
 	ts := d.Tuples()
 	pos := make([]int, n) // position by local index
 	for p, li := range order {
@@ -170,7 +178,7 @@ func sweepLocal(d *core.Dataset, order []int, visit func(e event, p int) bool) (
 	// schedule pushes the exchange event for the adjacent pair at
 	// positions (p, p+1) when it will cross ahead of the sweep.
 	schedule := func(p int) {
-		if p < 0 || p+1 >= n {
+		if p < 0 || p+1 >= m {
 			return
 		}
 		u, v := order[p], order[p+1]
@@ -191,7 +199,7 @@ func sweepLocal(d *core.Dataset, order []int, visit func(e event, p int) bool) (
 		heap.push(event{theta: theta, above: u, below: v})
 	}
 
-	for p := 0; p < n-1; p++ {
+	for p := 0; p < m-1; p++ {
 		schedule(p)
 	}
 
@@ -200,7 +208,7 @@ func sweepLocal(d *core.Dataset, order []int, visit func(e event, p int) bool) (
 		e := heap.pop()
 		delete(pending, key(e.above, e.below))
 		p := pos[e.above]
-		if p+1 >= n || order[p+1] != e.below {
+		if p+1 >= m || order[p+1] != e.below {
 			continue // stale: pair separated; rescheduled on re-adjacency
 		}
 		events++
@@ -275,12 +283,13 @@ func FindRanges(ctx context.Context, d *core.Dataset, k int) (map[int]Range, err
 
 // FindRangesMulti computes Algorithm 1's ranges for several k values in a
 // single sweep: the boundary exchange of order k happens at position k−1,
-// so one pass can watch all requested boundaries at once. It returns one
-// range map per requested k, in input order. Duplicate k values are
-// allowed; a k exceeding n fails the whole call with an error wrapping
-// ErrKExceedsN, exactly as FindRanges does for the same input. Like
-// FindRanges, it checks the context periodically and aborts on
-// cancellation.
+// so one pass can watch all requested boundaries at once. The sweep covers
+// the k-skyband of the largest requested k, which contains the skyband of
+// every smaller one. It returns one range map per requested k, in input
+// order. Duplicate k values are allowed; a k exceeding n fails the whole
+// call with an error wrapping ErrKExceedsN, exactly as FindRanges does for
+// the same input. Like FindRanges, it checks the context periodically and
+// aborts on cancellation.
 func FindRangesMulti(ctx context.Context, d *core.Dataset, ks []int) ([]map[int]Range, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -306,6 +315,7 @@ func FindRangesMulti(ctx context.Context, d *core.Dataset, ks []int) ([]map[int]
 	states := make([]*state, len(ks))
 	// byBoundary maps a boundary position (k-1) to the states watching it.
 	byBoundary := make(map[int][]*state)
+	var widest *state
 	for i, k := range ks {
 		if k <= 0 {
 			return nil, errors.New("sweep: k must be positive")
@@ -319,12 +329,21 @@ func FindRangesMulti(ctx context.Context, d *core.Dataset, ks []int) ([]map[int]
 			hi:    make([]float64, n),
 			flags: make([]uint8, n),
 		}
+		// The first k tuples have at most k−1 dominators each, so they
+		// survive the skyband pass below at the same positions.
 		for _, li := range order[:k] {
 			st.flags[li] = stateSeen | stateInTop
 		}
 		states[i] = st
 		byBoundary[k-1] = append(byBoundary[k-1], st)
+		if widest == nil || k > widest.k {
+			widest = st
+		}
 	}
+	// The skyband heap borrows the widest state's hi array: hi is written
+	// at a tuple's every exit from the top-k before it is read, so the
+	// borrowed storage needs no reset.
+	order, _ = skyband(d.Tuples(), order, widest.k, widest.hi)
 	events, canceled := 0, false
 	_, err = sweepLocal(d, order, func(e event, p int) bool {
 		events++
