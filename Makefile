@@ -12,8 +12,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The second run repeats the service package: its cache's ordering rules
+# (a flight is counted before its last key wakes a waiter) only show up
+# as failures on repeated race runs.
 race:
 	$(GO) test -race ./internal/service/ ./internal/eval/ ./internal/shard/ ./internal/delta/ ./internal/wal/ ./internal/watch/ ./internal/trace/ ./internal/trace/export/
+	$(GO) test -race -count=10 ./internal/service/
 
 # Fuzz smoke: a short budgeted run of each native fuzz target, catching
 # decoder panics and non-canonical encodings before they reach a corpus,

@@ -6,12 +6,9 @@
 // duplicates share that computation, and every later request is a cache
 // hit.
 //
-// The HTTP API lives under /v1. The old unversioned paths are retired:
-// they answer 410 Gone pointing at their /v1 replacement, unless
-// -legacy-routes restores them as live aliases for clients that cannot
-// migrate yet. -request-timeout bounds each request's deadline end to end:
-// the context reaches the solver's hot loops, so an over-budget solve is
-// actually interrupted, not merely abandoned.
+// The HTTP API lives under /v1. -request-timeout bounds each request's
+// deadline end to end: the context reaches the solver's hot loops, so an
+// over-budget solve is actually interrupted, not merely abandoned.
 //
 // -shards routes every solve through the map-reduce engine: the dataset is
 // split into P shards, a parallel map phase prunes it to an exact candidate
@@ -137,7 +134,6 @@ func run() error {
 		dataDir    = flag.String("data-dir", "", "directory for durable state: write-ahead log of mutations, registry snapshot, warm answer cache (empty = memory only)")
 		fsyncPol   = flag.String("fsync", "always", "WAL durability policy: always (fsync every append), interval (background fsync every 100ms), never (leave flushing to the OS)")
 		noPersist  = flag.Bool("no-persist", false, "ignore -data-dir and run memory-only")
-		legacyOn   = flag.Bool("legacy-routes", false, "restore the retired unversioned route aliases (/representative, /stats, ...) as live handlers instead of 410 Gone tombstones")
 		logFormat  = flag.String("log-format", "text", "log output format: text (human-readable) or json (one structured object per line)")
 		slowThresh = flag.Duration("slow-threshold", 0, "log any request slower than this with its full span tree (0 = disabled); pair with a traceparent header or /v1/representative to get solver-phase spans")
 		debugAddr  = flag.String("debug-addr", "", "separate listener for net/http/pprof and POST /debug/rtrace/start|stop execution tracing; keep it on localhost (empty = disabled)")
@@ -208,9 +204,6 @@ func run() error {
 	}
 
 	serverOpts := []service.ServerOption{service.WithRequestTimeout(*reqTimeout)}
-	if *legacyOn {
-		serverOpts = append(serverOpts, service.WithLegacyRoutes())
-	}
 	if *slowThresh > 0 {
 		serverOpts = append(serverOpts, service.WithSlowRequestLog(*slowThresh, logger))
 	}

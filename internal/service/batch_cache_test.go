@@ -382,3 +382,29 @@ func TestDoBatchBudgetErrorCached(t *testing.T) {
 		t.Fatalf("retry err = %v", err)
 	}
 }
+
+// TestDoBatchCountedBeforeWake: a batch's completion accounting (the
+// in-flight gauge and its latency entry) lands before its last key wakes
+// a waiter, so a caller reading the metrics right after DoBatch returns
+// sees the batch counted — even while compute is still running after its
+// last fill.
+func TestDoBatchCountedBeforeWake(t *testing.T) {
+	m := NewMetrics()
+	c := NewCache(m, 0)
+	release := make(chan struct{})
+	defer close(release)
+	_, errs := c.DoBatch(context.Background(), batchKeys(1, 2), func(ctx context.Context, owned []Key, fill BatchFill) {
+		for _, key := range owned {
+			fill(key, []int{key.K}, ResultStats{}, nil)
+		}
+		<-release
+	})
+	if len(errs) != 0 {
+		t.Fatalf("errs = %v", errs)
+	}
+	snap := m.Snapshot()
+	if snap.InFlight != 0 || snap.Latencies["batch"].Count != 1 || snap.Computations != 1 {
+		t.Fatalf("in_flight/batch count/computations = %d/%d/%d right after DoBatch returned, want 0/1/1",
+			snap.InFlight, snap.Latencies["batch"].Count, snap.Computations)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -40,40 +41,48 @@ type Key struct {
 	Shards  string
 }
 
-// flight is the shared state of one batch computation claiming several
-// keys at once. refs counts the waiters currently attached to *unfilled*
-// slots of the flight (guarded by Cache.mu): when it reaches zero while
-// unfilled slots remain, nobody is waiting for anything the batch still
-// has to produce, and the flight's context is canceled. A waiter on an
-// already-filled slot holds no reference — its result exists regardless
-// of the flight's fate.
+// flight is one computation: a detached goroutine running compute over
+// the keys it claimed. Do starts a one-key flight, DoBatch a batch flight
+// over every key it could not join. refs counts the waiters currently
+// attached to the flight's *unfilled* slots (guarded by Cache.mu): when it
+// reaches zero while unfilled slots remain, nobody is waiting for anything
+// the flight still has to produce, and its context is canceled. A waiter on
+// an already-filled slot holds no reference — its result exists
+// regardless of the flight's fate.
 type flight struct {
-	cancel   context.CancelFunc
+	cancel context.CancelFunc
+	// batch marks a DoBatch flight: its latency is recorded under "batch"
+	// whatever each key's fate, and joining one of its unfilled keys counts
+	// as a coalesced join.
+	batch    bool
 	refs     int
 	unfilled int
+
+	// Set by the flight's goroutine once admitted (zero while queued), read
+	// by its fills.
+	start time.Time
+	tid   trace.TraceID
 }
 
-// computation is one cache slot. The computation runs on its own goroutine
+// computation is one cache slot. Its flight runs on its own goroutine
 // under a context detached from any single request: requests — the one
 // that created the flight and any that joined it — are *waiters*. A waiter
-// whose own context dies leaves the flight; when the last waiter leaves,
-// the computation's context is canceled, so abandoned work stops burning
-// CPU instead of running to completion for nobody. A slot whose
-// computation failed (including by cancellation) is evicted so later
-// requests retry instead of caching the error forever.
-//
-// A slot created by DoBatch belongs to a flight shared with its sibling
-// keys; fl is nil for single-key computations.
+// whose own context dies leaves; when no waiter is left on anything the
+// flight still has to produce, the flight's context is canceled, so
+// abandoned work stops burning CPU instead of running to completion for
+// nobody. A slot whose computation failed (including by cancellation) is
+// evicted so later requests retry instead of caching the error forever.
 type computation struct {
-	done   chan struct{}
-	cancel context.CancelFunc
-	fl     *flight
+	done chan struct{}
+	// fl is the flight computing this slot; nil only for slots Put
+	// creates already filled.
+	fl *flight
 
 	// waiters is guarded by Cache.mu: the number of requests currently
 	// blocked on (or about to block on) this slot.
 	waiters int
-	// filled is guarded by Cache.mu: a flight slot whose result has been
-	// published (done is closed at the same moment).
+	// filled is guarded by Cache.mu: the slot's result has been published
+	// (done is closed right after).
 	filled bool
 
 	// Written by the computing goroutine before close(done), read-only
@@ -89,6 +98,22 @@ type computation struct {
 	// through Rekey — the body carries no generation, so a still-exact
 	// carry-over keeps it valid.
 	encoded atomic.Pointer[[]byte]
+}
+
+// succeeded reports whether the slot's computation is done and succeeded:
+// the one test every read accessor applies before serving a slot.
+func (s *computation) succeeded() bool {
+	select {
+	case <-s.done:
+		return s.err == nil
+	default:
+		return false
+	}
+}
+
+// result is the slot's completed result as a waiter receives it.
+func (s *computation) result(cached bool) CachedResult {
+	return CachedResult{IDs: s.ids, Stats: s.stats, Elapsed: s.elapsed, Cached: cached}
 }
 
 // ResultStats carries the solver's work counters through the cache.
@@ -152,242 +177,22 @@ type CachedResult struct {
 	Cached  bool
 }
 
-// addWaiterLocked attaches a request to a slot. Callers hold c.mu.
-func (c *Cache) addWaiterLocked(slot *computation) {
-	slot.waiters++
-	if slot.fl != nil && !slot.filled {
-		slot.fl.refs++
-	}
-}
-
-// leaveLocked detaches a request that gave up before the slot completed.
-// It evicts an abandoned slot so later requests start fresh, and reports
-// whether the departing waiter was the last interest keeping the
-// computation alive — the caller must then cancel outside the lock.
-// Callers hold c.mu.
-func (c *Cache) leaveLocked(key Key, slot *computation) (cancel context.CancelFunc) {
-	slot.waiters--
-	if slot.fl != nil {
-		if !slot.filled {
-			slot.fl.refs--
-			if slot.fl.refs == 0 {
-				cancel = slot.fl.cancel
-			}
-		}
-		if slot.waiters == 0 && !slot.filled && c.slots[key] == slot {
-			// Evict in the same critical section that detects abandonment
-			// (see the single-slot case below); the batch goroutine still
-			// publishes into the detached slot, harmlessly.
-			delete(c.slots, key)
-		}
-		return cancel
-	}
-	if slot.waiters == 0 {
-		if c.slots[key] == slot {
-			// Evict in the same critical section that detects
-			// abandonment: a request arriving after this point starts
-			// a fresh flight instead of joining a doomed one and
-			// inheriting its cancellation error.
-			delete(c.slots, key)
-		}
-		cancel = slot.cancel
-	}
-	return cancel
-}
-
 // Do returns the cached result for key, computing it via compute if absent.
 // If another request is already computing the key, Do waits for it and
 // shares its result (counted as a hit) — including when the in-flight
 // computation is a batch that claimed the key (counted as a coalesced
-// join). compute runs on its own goroutine under a context detached from
-// ctx, so one client disconnecting never kills a solve other clients are
-// waiting on; but when ctx dies and this was the last waiter, the
-// computation's context is canceled and the solve stops. compute must
-// honor its context for that to interrupt work.
+// join). compute runs as a one-key flight on its own goroutine under a
+// context detached from ctx, so one client disconnecting never kills a
+// solve other clients are waiting on; but when ctx dies and this was the
+// last waiter, the computation's context is canceled and the solve stops.
+// compute must honor its context for that to interrupt work.
 func (c *Cache) Do(ctx context.Context, key Key, compute func(context.Context) ([]int, ResultStats, error)) (CachedResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	c.mu.Lock()
-	slot, found := c.slots[key]
-	if !found {
-		// Detach carries the creating request's trace state onto the
-		// computation's context, so solver spans land in that request's
-		// trace while the compute stays immune to its cancellation.
-		runCtx, cancel := context.WithCancel(trace.Detach(ctx))
-		slot = &computation{done: make(chan struct{}), cancel: cancel}
-		c.slots[key] = slot
-		c.metrics.miss()
-		go c.run(key, slot, runCtx, compute)
-	} else if slot.fl != nil && !slot.filled {
-		// Joining a key a batch claimed but hasn't produced yet: the
-		// coalescing the batch engine exists for.
-		c.metrics.coalesce()
-	}
-	c.addWaiterLocked(slot)
-	c.mu.Unlock()
-
-	rec, parent := trace.FromContext(ctx)
-	waitID := rec.Start("cache_wait", parent)
-	select {
-	case <-slot.done:
-	case <-ctx.Done():
-		// Prefer a completed result over reporting cancellation when both
-		// raced: the work is done, serve it.
-		select {
-		case <-slot.done:
-		default:
-			rec.End(waitID)
-			c.mu.Lock()
-			cancel := c.leaveLocked(key, slot)
-			c.mu.Unlock()
-			if cancel != nil {
-				// Last waiter gone: nobody wants this result anymore.
-				cancel()
-			}
-			return CachedResult{}, fmt.Errorf("service: request for %s on %q (k=%d) abandoned: %w",
-				key.Algo, key.Dataset, key.K, ctx.Err())
-		}
-	}
-	rec.End(waitID)
-	c.mu.Lock()
-	slot.waiters--
-	c.mu.Unlock()
-	if slot.err != nil {
-		// A shared failure is not a hit: nothing was served from cache,
-		// the client gets the flight's error.
-		return CachedResult{}, slot.err
-	}
-	if !found {
-		// This request created the flight; its result is fresh, not cached.
-		return CachedResult{IDs: slot.ids, Stats: slot.stats, Elapsed: slot.elapsed, Cached: false}, nil
-	}
-	c.metrics.hit()
-	return CachedResult{IDs: slot.ids, Stats: slot.stats, Elapsed: slot.elapsed, Cached: true}, nil
-}
-
-// run executes one computation on its own goroutine: admission control,
-// metrics, publication, and eviction-on-failure. Panics in compute are
-// recovered and published as errors — the goroutine is detached from any
-// request, so net/http's per-request recovery cannot catch them.
-func (c *Cache) run(key Key, slot *computation, ctx context.Context, compute func(context.Context) ([]int, ResultStats, error)) {
-	defer slot.cancel() // release the context's resources on every path
-	select {
-	case c.sem <- struct{}{}:
-		defer func() { <-c.sem }()
-	case <-ctx.Done():
-		// Every waiter left while this computation was still queued
-		// behind the admission semaphore; it never started.
-		slot.err = fmt.Errorf("service: computation for %v canceled while queued: %w", key, ctx.Err())
-		c.metrics.computeAbandonedQueued()
-		c.evict(key, slot)
-		close(slot.done)
-		return
-	}
-	c.metrics.computeStarted()
-	rec, _ := trace.FromContext(ctx)
-	tid := rec.TraceID()
-	start := time.Now()
-	finished := false
-	defer func() {
-		if !finished {
-			// compute panicked: publish an error so waiters unwedge, evict
-			// the slot so later requests retry, and swallow the panic —
-			// re-panicking on a detached goroutine would kill the process.
-			slot.err = fmt.Errorf("service: computation for %v panicked: %v", key, recover())
-			slot.elapsed = time.Since(start)
-			c.metrics.computeFinished(key.Algo, slot.elapsed, slot.err, tid)
-			c.evict(key, slot)
-			close(slot.done)
-		}
-	}()
-	slot.ids, slot.stats, slot.err = compute(ctx)
-	finished = true
-	slot.elapsed = time.Since(start)
-	c.metrics.computeFinished(key.Algo, slot.elapsed, slot.err, tid)
-	if slot.err != nil && !errors.Is(slot.err, rrr.ErrBudgetExhausted) {
-		// Evict before waking waiters: transient failures and
-		// cancellations must not poison the key. Budget exhaustion is the
-		// exception — it is deterministic for a (dataset, k, algorithm)
-		// triple under the daemon's configured budgets, so the typed error
-		// is cached until the dataset is removed; evicting it would make
-		// every retry of a doomed key burn the full budget again.
-		c.evict(key, slot)
-	}
-	close(slot.done)
-}
-
-// Hit returns the completed successful result at key without waiting or
-// computing — the allocation-free fast path a request tries before paying
-// for a solver clone and a compute closure. A hit here is counted exactly
-// as Do would count it; misses (absent, in-flight, or failed slots) are
-// not counted because the caller falls through to Do, which does the
-// accounting for whatever it finds.
-func (c *Cache) Hit(key Key) (CachedResult, bool) {
-	c.mu.Lock()
-	slot, ok := c.slots[key]
-	c.mu.Unlock()
-	if !ok {
-		return CachedResult{}, false
-	}
-	select {
-	case <-slot.done:
-	default:
-		return CachedResult{}, false
-	}
-	if slot.err != nil {
-		return CachedResult{}, false
-	}
-	c.metrics.hit()
-	return CachedResult{IDs: slot.ids, Stats: slot.stats, Elapsed: slot.elapsed, Cached: true}, true
-}
-
-// EncodedBody returns the pre-marshaled response body attached to the
-// key's completed successful slot, counting a cache hit when present. The
-// returned bytes are shared — callers must write, never mutate, them.
-func (c *Cache) EncodedBody(key Key) ([]byte, bool) {
-	c.mu.Lock()
-	slot, ok := c.slots[key]
-	c.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	select {
-	case <-slot.done:
-	default:
-		return nil, false
-	}
-	if slot.err != nil {
-		return nil, false
-	}
-	body := slot.encoded.Load()
-	if body == nil {
-		return nil, false
-	}
-	c.metrics.hit()
-	return *body, true
-}
-
-// SetEncodedBody attaches a pre-marshaled response body to the key's
-// completed successful slot so later hits serve bytes without
-// re-encoding. The caller must not mutate body afterwards. No-op when the
-// slot is absent, in flight, or failed — the body would describe nothing.
-func (c *Cache) SetEncodedBody(key Key, body []byte) {
-	c.mu.Lock()
-	slot, ok := c.slots[key]
-	c.mu.Unlock()
-	if !ok {
-		return
-	}
-	select {
-	case <-slot.done:
-	default:
-		return
-	}
-	if slot.err != nil {
-		return
-	}
-	slot.encoded.Store(&body)
+	ws := []waiter{{key: key}}
+	c.do(ctx, ws, false, func(ctx context.Context, _ []Key, fill BatchFill) {
+		ids, stats, err := compute(ctx)
+		fill(key, ids, stats, err)
+	})
+	return ws[0].res, ws[0].err
 }
 
 // BatchFill publishes one key's outcome from inside a DoBatch compute
@@ -413,209 +218,318 @@ type BatchFill func(key Key, ids []int, stats ResultStats, err error)
 // first). Like Do, a caller abandoning some keys keeps results it already
 // collected.
 func (c *Cache) DoBatch(ctx context.Context, keys []Key, compute func(ctx context.Context, owned []Key, fill BatchFill)) (map[Key]CachedResult, map[Key]error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	results := make(map[Key]CachedResult, len(keys))
-	errs := make(map[Key]error)
-
-	fl := &flight{}
-	runCtx, cancel := context.WithCancel(trace.Detach(ctx))
-	fl.cancel = cancel
-	var owned []Key
-	waiting := make(map[Key]*computation, len(keys))
-	joined := make(map[Key]bool, len(keys))
-	c.mu.Lock()
+	ws := make([]waiter, 0, len(keys))
+	seen := make(map[Key]bool, len(keys))
 	for _, key := range keys {
-		if _, dup := waiting[key]; dup {
-			continue
+		if !seen[key] {
+			seen[key] = true
+			ws = append(ws, waiter{key: key})
 		}
-		slot, found := c.slots[key]
-		if found {
-			joined[key] = true
-			if slot.fl != nil && !slot.filled {
-				c.metrics.coalesce()
-			}
+	}
+	c.do(ctx, ws, true, compute)
+	results := make(map[Key]CachedResult, len(ws))
+	errs := make(map[Key]error)
+	for _, w := range ws {
+		if w.err != nil {
+			errs[w.key] = w.err
 		} else {
-			slot = &computation{done: make(chan struct{}), fl: fl}
-			c.slots[key] = slot
-			fl.unfilled++
-			owned = append(owned, key)
-			c.metrics.miss()
-		}
-		waiting[key] = slot
-		c.addWaiterLocked(slot)
-	}
-	c.mu.Unlock()
-
-	if len(owned) > 0 {
-		c.metrics.batchStarted(len(owned))
-		// Restrict the fill surface to the claimed slots: a compute that
-		// publishes a key it merely joined must be a no-op, not a write
-		// into a foreign computation.
-		ownedSlots := make(map[Key]*computation, len(owned))
-		for _, key := range owned {
-			ownedSlots[key] = waiting[key]
-		}
-		go c.runBatch(fl, runCtx, owned, ownedSlots, compute)
-	} else {
-		cancel() // nothing claimed; release the unused context
-	}
-
-	rec, traceParent := trace.FromContext(ctx)
-	waitID := rec.Start("cache_wait", traceParent)
-	for key, slot := range waiting {
-		select {
-		case <-slot.done:
-		case <-ctx.Done():
-			select {
-			case <-slot.done:
-			default:
-				rec.End(waitID)
-				// The request died with keys outstanding: collect any that
-				// completed anyway (their results are done work — serving
-				// them beats evicting them), leave the rest and report
-				// those keys abandoned. Results already collected stay
-				// valid.
-				var cancels []context.CancelFunc
-				c.mu.Lock()
-				for k2, s2 := range waiting {
-					if _, collected := results[k2]; collected {
-						continue
-					}
-					if _, failed := errs[k2]; failed {
-						continue
-					}
-					select {
-					case <-s2.done:
-						s2.waiters--
-						switch {
-						case s2.err != nil:
-							errs[k2] = s2.err
-						case joined[k2]:
-							c.metrics.hit()
-							results[k2] = CachedResult{IDs: s2.ids, Stats: s2.stats, Elapsed: s2.elapsed, Cached: true}
-						default:
-							results[k2] = CachedResult{IDs: s2.ids, Stats: s2.stats, Elapsed: s2.elapsed, Cached: false}
-						}
-					default:
-						if cfn := c.leaveLocked(k2, s2); cfn != nil {
-							cancels = append(cancels, cfn)
-						}
-						errs[k2] = fmt.Errorf("service: request for %s on %q (k=%d) abandoned: %w",
-							k2.Algo, k2.Dataset, k2.K, ctx.Err())
-					}
-				}
-				c.mu.Unlock()
-				for _, cfn := range cancels {
-					cfn()
-				}
-				return results, errs
-			}
-		}
-		c.mu.Lock()
-		slot.waiters--
-		c.mu.Unlock()
-		switch {
-		case slot.err != nil:
-			errs[key] = slot.err
-		case joined[key]:
-			c.metrics.hit()
-			results[key] = CachedResult{IDs: slot.ids, Stats: slot.stats, Elapsed: slot.elapsed, Cached: true}
-		default:
-			results[key] = CachedResult{IDs: slot.ids, Stats: slot.stats, Elapsed: slot.elapsed, Cached: false}
+			results[w.key] = w.res
 		}
 	}
-	rec.End(waitID)
 	return results, errs
 }
 
-// runBatch executes one batch computation on its own goroutine, holding a
-// single admission slot for the whole key set. fill publishes per-key
-// results as compute produces them, waking that key's waiters immediately;
-// whatever compute leaves unpublished (early return, panic) is failed and
-// evicted so no waiter wedges.
-func (c *Cache) runBatch(fl *flight, ctx context.Context, owned []Key, slots map[Key]*computation, compute func(context.Context, []Key, BatchFill)) {
-	defer fl.cancel()
+// waiter is one request's interest in one key, and its outcome.
+type waiter struct {
+	key  Key
+	slot *computation
+	// joined: the slot existed when the request arrived, so a result
+	// served from it is a hit rather than fresh.
+	joined bool
+	res    CachedResult
+	err    error
+}
+
+// do is the one protocol behind Do and DoBatch: claim, run, fill, wait.
+// Under one lock it joins every existing slot of ws and claims the rest
+// for a new flight; the flight runs compute on its own goroutine while
+// the request waits for each key in turn, collecting what finished and
+// leaving what did not if ctx dies first.
+func (c *Cache) do(ctx context.Context, ws []waiter, batch bool, compute func(context.Context, []Key, BatchFill)) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	var (
+		own    *flight
+		runCtx context.Context
+		owned  []Key
+		slots  map[Key]*computation
+	)
+	c.mu.Lock()
+	for i := range ws {
+		w := &ws[i]
+		slot, found := c.slots[w.key]
+		switch {
+		case !found:
+			if len(owned) == 0 {
+				// Detach carries the creating request's trace state onto the
+				// flight's context, so solver spans land in that request's
+				// trace while the compute stays immune to its cancellation.
+				var cancel context.CancelFunc
+				runCtx, cancel = context.WithCancel(trace.Detach(ctx))
+				own = &flight{cancel: cancel, batch: batch}
+				slots = make(map[Key]*computation, len(ws)-i)
+			}
+			slot = &computation{done: make(chan struct{}), fl: own}
+			c.slots[w.key] = slot
+			slots[w.key] = slot
+			owned = append(owned, w.key)
+			own.unfilled++
+			c.metrics.add(cacheMisses, 1)
+		case !slot.filled && slot.fl.batch:
+			// Joining a key a batch claimed but hasn't produced yet: the
+			// coalescing the batch engine exists for.
+			c.metrics.add(coalescedJoins, 1)
+		}
+		w.slot, w.joined = slot, found
+		slot.waiters++
+		if !slot.filled {
+			slot.fl.refs++
+		}
+	}
+	c.mu.Unlock()
+	if len(owned) > 0 {
+		if batch {
+			c.metrics.add(batches, 1)
+			c.metrics.add(batchItems, len(owned))
+		}
+		go c.run(runCtx, own, owned, slots, compute)
+	}
+
+	rec, parent := trace.FromContext(ctx)
+	waitID := rec.Start("cache_wait", parent)
+	defer rec.End(waitID)
+	for i := range ws {
+		select {
+		case <-ws[i].slot.done:
+			c.mu.Lock()
+			c.settleLocked(ctx, &ws[i])
+			c.mu.Unlock()
+		case <-ctx.Done():
+			// The request died with keys outstanding: collect any that
+			// completed anyway (their results are done work — serving them
+			// beats evicting them), leave the rest and report those keys
+			// abandoned.
+			c.mu.Lock()
+			for j := i; j < len(ws); j++ {
+				c.settleLocked(ctx, &ws[j])
+			}
+			c.mu.Unlock()
+			return
+		}
+	}
+}
+
+// settleLocked ends one waiter's wait. A finished slot yields its error or
+// its result, counted as a hit when the request joined the slot. An
+// unfinished one is left by the one leave rule: the waiter drops its
+// flight's refs if the slot is still unfilled; the slot is evicted when its
+// own waiter count reaches zero, so a request arriving after this point
+// starts a fresh flight instead of joining a doomed one; the flight is
+// canceled when refs reaches zero. Callers hold c.mu.
+func (c *Cache) settleLocked(ctx context.Context, w *waiter) {
+	slot := w.slot
+	slot.waiters--
+	select {
+	case <-slot.done:
+		// Prefer a completed result over reporting cancellation when both
+		// raced: the work is done, serve it.
+		if w.err = slot.err; w.err == nil {
+			w.res = slot.result(w.joined)
+			if w.joined {
+				c.metrics.add(cacheHits, 1)
+			}
+		}
+		return
+	default:
+	}
+	w.err = fmt.Errorf("service: request for %s on %q (k=%d) abandoned: %w",
+		w.key.Algo, w.key.Dataset, w.key.K, ctx.Err())
+	if slot.filled {
+		// fill already released this waiter's hold on the flight; done
+		// closes right after.
+		return
+	}
+	if slot.waiters == 0 && c.slots[w.key] == slot {
+		delete(c.slots, w.key)
+	}
+	slot.fl.refs--
+	if slot.fl.refs == 0 {
+		// Last interest gone: nobody wants what the flight has left to
+		// produce. Canceling only closes channels, so it is safe under
+		// c.mu.
+		slot.fl.cancel()
+	}
+}
+
+// run executes one flight on its own goroutine, holding a single admission
+// slot for all its keys: admission control, compute, and failing whatever
+// compute left unpublished (early return, panic) so no waiter wedges.
+// Panics in compute are recovered and published as errors — the goroutine
+// is detached from any request, so net/http's per-request recovery cannot
+// catch them, and re-panicking would kill the process.
+func (c *Cache) run(ctx context.Context, fl *flight, owned []Key, slots map[Key]*computation, compute func(context.Context, []Key, BatchFill)) {
+	defer fl.cancel() // release the context's resources on every path
 	select {
 	case c.sem <- struct{}{}:
 		defer func() { <-c.sem }()
 	case <-ctx.Done():
-		// One queued-abandonment event, however many keys it claimed —
-		// counting each key's fill as a cancellation too would report one
-		// overload event len(owned)+1 times.
-		err := fmt.Errorf("service: batch computation canceled while queued: %w", ctx.Err())
-		c.metrics.computeAbandonedQueued()
+		// Every waiter left while the flight was still queued behind the
+		// admission semaphore; it never started. One cancellation however
+		// many keys it claimed — it never entered the in-flight gauge, but
+		// overload cancellations must not be invisible.
+		c.metrics.add(canceled, 1)
+		err := fmt.Errorf("service: computation canceled while queued: %w", ctx.Err())
 		for _, key := range owned {
-			c.fill(fl, key, slots[key], nil, ResultStats{}, err, 0, false)
+			c.fill(fl, key, slots[key], nil, ResultStats{}, err)
 		}
 		return
 	}
-	c.metrics.computeStarted()
-	start := time.Now()
-	published := make(map[Key]bool, len(owned))
-	var mu sync.Mutex // guards published; compute may fill from worker goroutines
-	fill := func(key Key, ids []int, stats ResultStats, err error) {
-		mu.Lock()
-		slot, ok := slots[key]
-		if published[key] || !ok {
-			mu.Unlock()
-			return
-		}
-		published[key] = true
-		mu.Unlock()
-		c.fill(fl, key, slot, ids, stats, err, time.Since(start), true)
-	}
+	c.metrics.add(inFlight, 1)
+	rec, _ := trace.FromContext(ctx)
+	fl.tid = rec.TraceID()
+	fl.start = time.Now()
 	finished := false
 	defer func() {
-		var err error
+		err := errors.New("service: computation ended without publishing this key")
 		if !finished {
-			err = fmt.Errorf("service: batch computation panicked: %v", recover())
-		} else {
-			err = errors.New("service: batch computation ended without publishing this key")
+			err = fmt.Errorf("service: computation panicked: %v", recover())
 		}
 		for _, key := range owned {
-			mu.Lock()
-			done := published[key]
-			published[key] = true
-			mu.Unlock()
-			if !done {
-				c.fill(fl, key, slots[key], nil, ResultStats{}, err, time.Since(start), true)
-			}
+			c.fill(fl, key, slots[key], nil, ResultStats{}, err)
 		}
-		rec, _ := trace.FromContext(ctx)
-		c.metrics.computeFinished("batch", time.Since(start), nil, rec.TraceID())
 	}()
-	compute(ctx, owned, fill)
+	compute(ctx, owned, func(key Key, ids []int, stats ResultStats, err error) {
+		// Only claimed slots can be filled: publishing a key the flight
+		// merely joined is a no-op, not a write into a foreign computation.
+		if slot, ok := slots[key]; ok {
+			c.fill(fl, key, slot, ids, stats, err)
+		}
+	})
 	finished = true
 }
 
-// fill publishes one slot's outcome: record, update flight accounting,
-// evict failures (budget exhaustion excepted, as in run), close done, and
-// cancel the flight when the last interested waiter's key was just
-// published while unfilled siblings remain. counted=false skips per-item
-// metrics for events already counted at the batch level.
-func (c *Cache) fill(fl *flight, key Key, slot *computation, ids []int, stats ResultStats, err error, elapsed time.Duration, counted bool) {
+// fill publishes one claimed slot's outcome, once (later fills of the
+// same slot are no-ops): record it, evict a failure, release the slot's
+// waiters' hold on the flight, and wake them. Budget exhaustion is not
+// evicted — it is deterministic for a (dataset, k, algorithm) triple under
+// the daemon's configured budgets, so the typed error is cached until the
+// dataset is removed; evicting it would make every retry of a doomed key
+// burn the full budget again.
+//
+// The fill that completes an admitted flight closes the flight's
+// accounting before it wakes anyone, so a request that has seen all its
+// keys finish also sees the flight counted.
+func (c *Cache) fill(fl *flight, key Key, slot *computation, ids []int, stats ResultStats, err error) {
+	started := !fl.start.IsZero()
+	var elapsed time.Duration
+	if started {
+		elapsed = time.Since(fl.start)
+	}
 	c.mu.Lock()
+	if slot.filled {
+		c.mu.Unlock()
+		return
+	}
 	slot.ids, slot.stats, slot.err, slot.elapsed = ids, stats, err, elapsed
 	slot.filled = true
 	fl.unfilled--
 	// Waiters on this slot got what they came for; they no longer keep
 	// the rest of the flight alive.
 	fl.refs -= slot.waiters
-	cancelFlight := fl.refs == 0 && fl.unfilled > 0
-	if err != nil && !errors.Is(err, rrr.ErrBudgetExhausted) {
-		if c.slots[key] == slot {
-			delete(c.slots, key)
+	if fl.refs == 0 && fl.unfilled > 0 {
+		fl.cancel()
+	}
+	if err != nil && !errors.Is(err, rrr.ErrBudgetExhausted) && c.slots[key] == slot {
+		delete(c.slots, key)
+	}
+	last := fl.unfilled == 0
+	c.mu.Unlock()
+	if started {
+		if err != nil {
+			c.metrics.failed(err)
+		}
+		if last {
+			c.metrics.add(inFlight, -1)
+			switch {
+			case fl.batch:
+				c.metrics.solved("batch", elapsed, fl.tid)
+			case err == nil:
+				c.metrics.solved(key.Algo, elapsed, fl.tid)
+			}
 		}
 	}
-	c.mu.Unlock()
-	if counted {
-		c.metrics.batchItemFinished(key.Algo, elapsed, err)
-	}
 	close(slot.done)
-	if cancelFlight {
-		fl.cancel()
+}
+
+// Hit returns the completed successful result at key without waiting or
+// computing — the allocation-free fast path a request tries before paying
+// for a solver clone and a compute closure. A hit here is counted exactly
+// as Do would count it; misses (absent, in-flight, or failed slots) are
+// not counted because the caller falls through to Do, which does the
+// accounting for whatever it finds.
+func (c *Cache) Hit(key Key) (CachedResult, bool) {
+	res, ok := c.Peek(key)
+	if ok {
+		c.metrics.add(cacheHits, 1)
+	}
+	return res, ok
+}
+
+// Peek reports whether key has a completed result, without computing.
+func (c *Cache) Peek(key Key) (CachedResult, bool) {
+	slot := c.completed(key)
+	if slot == nil {
+		return CachedResult{}, false
+	}
+	return slot.result(true), true
+}
+
+// completed returns the slot at key if its computation is done and
+// succeeded, nil otherwise.
+func (c *Cache) completed(key Key) *computation {
+	c.mu.Lock()
+	slot := c.slots[key]
+	c.mu.Unlock()
+	if slot == nil || !slot.succeeded() {
+		return nil
+	}
+	return slot
+}
+
+// EncodedBody returns the pre-marshaled response body attached to the
+// key's completed successful slot, counting a cache hit when present. The
+// returned bytes are shared — callers must write, never mutate, them.
+func (c *Cache) EncodedBody(key Key) ([]byte, bool) {
+	slot := c.completed(key)
+	if slot == nil {
+		return nil, false
+	}
+	body := slot.encoded.Load()
+	if body == nil {
+		return nil, false
+	}
+	c.metrics.add(cacheHits, 1)
+	return *body, true
+}
+
+// SetEncodedBody attaches a pre-marshaled response body to the key's
+// completed successful slot so later hits serve bytes without
+// re-encoding. The caller must not mutate body afterwards. No-op when the
+// slot is absent, in flight, or failed — the body would describe nothing.
+func (c *Cache) SetEncodedBody(key Key, body []byte) {
+	if slot := c.completed(key); slot != nil {
+		slot.encoded.Store(&body)
 	}
 }
 
@@ -629,25 +543,16 @@ type CachedEntry struct {
 // CompletedEntries returns every completed successful computation with
 // its key — the warm-cache export. In-flight slots are excluded (their
 // results don't exist yet) and so are cached errors: budget-exhausted
-// slots are deliberately kept in memory (see run), but persisting them
+// slots are deliberately kept in memory (see fill), but persisting them
 // would make a doomed key survive restarts of a possibly re-tuned daemon.
 func (c *Cache) CompletedEntries() []CachedEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []CachedEntry
 	for key, slot := range c.slots {
-		select {
-		case <-slot.done:
-		default:
-			continue
+		if slot.succeeded() {
+			out = append(out, CachedEntry{Key: key, Result: slot.result(true)})
 		}
-		if slot.err != nil {
-			continue
-		}
-		out = append(out, CachedEntry{
-			Key:    key,
-			Result: CachedResult{IDs: slot.ids, Stats: slot.stats, Elapsed: slot.elapsed, Cached: true},
-		})
 	}
 	return out
 }
@@ -662,15 +567,8 @@ func (c *Cache) CompletedKeys(name string, gen int64) []Key {
 	defer c.mu.Unlock()
 	var keys []Key
 	for key, slot := range c.slots {
-		if key.Dataset != name || key.Gen != gen {
-			continue
-		}
-		select {
-		case <-slot.done:
-			if slot.err == nil {
-				keys = append(keys, key)
-			}
-		default:
+		if key.Dataset == name && key.Gen == gen && slot.succeeded() {
+			keys = append(keys, key)
 		}
 	}
 	return keys
@@ -686,15 +584,7 @@ func (c *Cache) Rekey(old, new Key) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	slot, ok := c.slots[old]
-	if !ok {
-		return false
-	}
-	select {
-	case <-slot.done:
-	default:
-		return false
-	}
-	if slot.err != nil {
+	if !ok || !slot.succeeded() {
 		return false
 	}
 	if _, occupied := c.slots[new]; occupied {
@@ -720,28 +610,15 @@ func (c *Cache) Put(key Key, ids []int, stats ResultStats, elapsed time.Duration
 	return true
 }
 
-// Drop removes the completed slot at key (stale classification),
-// reporting whether anything was dropped. In-flight slots are left alone.
-func (c *Cache) Drop(key Key) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	slot, ok := c.slots[key]
-	if !ok {
-		return false
-	}
-	select {
-	case <-slot.done:
-		delete(c.slots, key)
-		return true
-	default:
-		return false
-	}
-}
-
 // InvalidateGeneration drops every completed result for the named dataset
 // at generations up to and including gen — the post-maintenance sweep
-// that clears slots no request can reach anymore. Like InvalidateDataset,
-// in-flight computations are left to finish into their unreachable keys.
+// that clears slots no request can reach anymore — returning how many
+// were dropped. In-flight computations are left to finish: their slot
+// lingers, but because keys carry the generation it can never be reached
+// by requests for a later one, and followers arriving before completion
+// (all necessarily holding the same stale generation) still share the
+// flight. The few ints it holds are the cost of not blocking on a running
+// solver.
 func (c *Cache) InvalidateGeneration(name string, gen int64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -760,59 +637,10 @@ func (c *Cache) InvalidateGeneration(name string, gen int64) int {
 	return dropped
 }
 
-// evict removes the slot if it is still the one mapped at key.
-func (c *Cache) evict(key Key, slot *computation) {
-	c.mu.Lock()
-	if c.slots[key] == slot {
-		delete(c.slots, key)
-	}
-	c.mu.Unlock()
-}
-
-// Peek reports whether key has a completed result, without computing.
-func (c *Cache) Peek(key Key) (CachedResult, bool) {
-	c.mu.Lock()
-	slot, ok := c.slots[key]
-	c.mu.Unlock()
-	if !ok {
-		return CachedResult{}, false
-	}
-	select {
-	case <-slot.done:
-	default:
-		return CachedResult{}, false
-	}
-	if slot.err != nil {
-		return CachedResult{}, false
-	}
-	return CachedResult{IDs: slot.ids, Stats: slot.stats, Elapsed: slot.elapsed, Cached: true}, true
-}
-
-// InvalidateDataset drops every completed result for the named dataset,
-// returning how many were dropped. In-flight computations are left to
-// finish — their slot lingers, but because keys carry the registration
-// generation it can never be reached by requests for a re-registered
-// dataset; the few ints it holds are the cost of not blocking removal on
-// a running solver.
+// InvalidateDataset drops every completed result for the named dataset at
+// any generation, returning how many were dropped.
 func (c *Cache) InvalidateDataset(name string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	dropped := 0
-	for key, slot := range c.slots {
-		if key.Dataset != name {
-			continue
-		}
-		select {
-		case <-slot.done:
-			delete(c.slots, key)
-			dropped++
-		default:
-			// Still computing; followers arriving before completion (all
-			// necessarily holding the same now-removed generation) still
-			// share the flight.
-		}
-	}
-	return dropped
+	return c.InvalidateGeneration(name, math.MaxInt64)
 }
 
 // Len returns the number of slots (completed or in flight).

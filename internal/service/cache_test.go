@@ -287,10 +287,8 @@ func TestMetricsHistogram(t *testing.T) {
 		t.Fatalf("numBuckets = %d, want len(latencyBuckets)+1 = %d", numBuckets, len(latencyBuckets)+1)
 	}
 	m := NewMetrics()
-	m.computeStarted()
-	m.computeFinished("mdrc", 3*time.Millisecond, nil, trace.TraceID{})
-	m.computeStarted()
-	m.computeFinished("mdrc", time.Minute, nil, trace.TraceID{}) // overflow bucket
+	m.solved("mdrc", 3*time.Millisecond, trace.TraceID{})
+	m.solved("mdrc", time.Minute, trace.TraceID{}) // overflow bucket
 	snap := m.Snapshot()
 	if snap.InFlight != 0 {
 		t.Fatalf("in-flight = %d, want 0", snap.InFlight)

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -244,8 +243,7 @@ func TestRequestTimeout(t *testing.T) {
 }
 
 // TestV1RoutesAndRetiredAliases: every endpoint answers on /v1; the
-// retired unversioned aliases answer 410 Gone with kind "gone" and the
-// /v1 path to use instead.
+// retired unversioned aliases are not routed and answer 404.
 func TestV1RoutesAndRetiredAliases(t *testing.T) {
 	svc := New(Config{Seed: 1})
 	if _, err := svc.Registry().Generate("flights", "dot", 300, 2, 1); err != nil {
@@ -283,59 +281,10 @@ func TestV1RoutesAndRetiredAliases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var body errorBody
-		err = json.NewDecoder(resp.Body).Decode(&body)
 		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("GET %s: decoding tombstone: %v", path, err)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want %d", path, resp.StatusCode, http.StatusNotFound)
 		}
-		if resp.StatusCode != http.StatusGone {
-			t.Errorf("GET %s: status %d, want %d", path, resp.StatusCode, http.StatusGone)
-		}
-		if body.Kind != "gone" {
-			t.Errorf("GET %s: kind %q, want \"gone\"", path, body.Kind)
-		}
-		if !strings.Contains(body.Error, "/v1/") {
-			t.Errorf("GET %s: tombstone %q does not point at the /v1 path", path, body.Error)
-		}
-	}
-}
-
-// TestLegacyRoutesEscapeHatch: WithLegacyRoutes restores the pre-/v1
-// aliases, serving the same state as the versioned paths.
-func TestLegacyRoutesEscapeHatch(t *testing.T) {
-	svc := New(Config{Seed: 1})
-	if _, err := svc.Registry().Generate("flights", "dot", 300, 2, 1); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(NewServer(svc, WithLegacyRoutes()))
-	t.Cleanup(ts.Close)
-
-	// Compute via /v1, then hit via the restored alias — one surface, one
-	// cache.
-	resp, err := http.Get(ts.URL + "/v1/representative?dataset=flights&k=10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/representative: status %d", resp.StatusCode)
-	}
-	var rep representativeResponse
-	resp, err = http.Get(ts.URL + "/representative?dataset=flights&k=10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&rep)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Cached {
-		t.Fatal("legacy alias missed the cache populated via /v1")
-	}
-	if rep.Algorithm != "2drrr" {
-		t.Fatalf("algorithm = %q", rep.Algorithm)
 	}
 }
 

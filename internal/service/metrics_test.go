@@ -161,14 +161,14 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("metrics output missing %q:\n%s", want, text)
 		}
 	}
-	// The retired legacy alias answers 410 Gone, not the exposition.
+	// The retired unversioned alias is not routed.
 	resp2, err := srv.Client().Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusGone {
-		t.Fatalf("legacy /metrics: status %d, want %d", resp2.StatusCode, http.StatusGone)
+	if resp2.StatusCode != http.StatusNotFound {
+		t.Fatalf("unversioned /metrics: status %d, want %d", resp2.StatusCode, http.StatusNotFound)
 	}
 }
 

@@ -178,7 +178,8 @@ func (r *Registry) Mutate(ctx context.Context, name string, b delta.Batch) (*Ent
 			if err != nil {
 				return fmt.Errorf("%w: %v", errPersist, err)
 			}
-			metrics.walAppend(n)
+			metrics.add(walAppends, 1)
+			metrics.add(walBytes, n)
 			return nil
 		}
 	}

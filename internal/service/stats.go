@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,11 +42,10 @@ var phaseBuckets = []time.Duration{
 const numBuckets = 8
 
 // histogram is a fixed-bucket latency histogram; the last index is the
-// overflow bucket. bounds must hold numBuckets-1 entries; nil means
-// latencyBuckets (the per-algorithm grid, the historical default).
-// Each bucket additionally retains its latest traced observation as an
-// exemplar — the OpenMetrics "jump from a bucket to the trace that put
-// a count there" link.
+// overflow bucket. bounds holds numBuckets-1 entries. Each bucket
+// additionally retains its latest traced observation as an exemplar — the
+// OpenMetrics "jump from a bucket to the trace that put a count there"
+// link.
 type histogram struct {
 	counts    [numBuckets]atomic.Int64
 	sum       atomic.Int64 // nanoseconds
@@ -63,25 +63,13 @@ type exemplar struct {
 	atNanos int64   // unix nanoseconds of the observation
 }
 
-func (h *histogram) bucketBounds() []time.Duration {
-	if h.bounds != nil {
-		return h.bounds
-	}
-	return latencyBuckets
-}
-
-func (h *histogram) observe(d time.Duration) {
-	h.observeTraced(d, trace.TraceID{})
-}
-
-// observeTraced is observe plus exemplar capture: a non-zero trace ID
-// pins (trace_id, value, timestamp) to the observation's native bucket.
-// Untraced observations skip the store entirely, so the zero-alloc
-// paths never pay for the exemplar's string rendering.
-func (h *histogram) observeTraced(d time.Duration, tid trace.TraceID) {
-	bounds := h.bucketBounds()
+// observe records one duration. A non-zero trace ID additionally pins
+// (trace_id, value, timestamp) to the observation's native bucket as its
+// exemplar; untraced observations skip the store entirely, so the
+// zero-alloc paths never pay for the exemplar's string rendering.
+func (h *histogram) observe(d time.Duration, tid trace.TraceID) {
 	i := 0
-	for i < len(bounds) && d > bounds[i] {
+	for i < len(h.bounds) && d > h.bounds[i] {
 		i++
 	}
 	h.counts[i].Add(1)
@@ -100,12 +88,11 @@ type HistogramSnapshot struct {
 }
 
 func (h *histogram) snapshot() HistogramSnapshot {
-	bounds := h.bucketBounds()
-	s := HistogramSnapshot{Buckets: make(map[string]int64, len(bounds)+1)}
+	s := HistogramSnapshot{Buckets: make(map[string]int64, len(h.bounds)+1)}
 	for i := range h.counts {
 		label := "+inf"
-		if i < len(bounds) {
-			label = "le_" + bounds[i].String()
+		if i < len(h.bounds) {
+			label = "le_" + h.bounds[i].String()
 		}
 		if n := h.counts[i].Load(); n > 0 {
 			s.Buckets[label] = n
@@ -118,50 +105,130 @@ func (h *histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-// Metrics aggregates the daemon's operational counters: cache hits and
-// misses, in-flight computations, per-algorithm latency histograms, and
-// computation failures. All methods are safe for concurrent use and safe on
-// a nil receiver (components constructed without metrics just don't
-// report).
+// counter names one entry of counterTable, and the slot of Metrics.counters
+// holding its value.
+type counter int
+
+const (
+	cacheHits counter = iota
+	cacheMisses
+	inFlight
+	failures
+	canceled
+	batches
+	batchItems
+	coalescedJoins
+	shardedSolves
+	shardsDone
+	shardCandidates
+	shardInputTuples
+	deltaMutations
+	deltaMutatedTuples
+	deltaRevalidated
+	deltaRepaired
+	deltaRecomputed
+	walAppends
+	walBytes
+	replayedBatches
+	warmedAnswers
+	watchSubscribers
+	watchEvents
+	watchDropped
+	watchResumes
+	traceSampled
+	traceUnsampled
+	exportSpans
+	exportBatches
+	exportRetries
+	exportFailures
+	exportDropped
+	numCounters
+)
+
+// counterDesc defines one counter for all three metric surfaces: its
+// Prometheus sample name, type and help text, and the Snapshot leaf that
+// carries it in /v1/stats. The exposition emits counterTable in order.
+type counterDesc struct {
+	name string
+	typ  string // "counter" (monotone) or "gauge"
+	help string
+	leaf func(*Snapshot) *int64
+}
+
+var counterTable = [numCounters]counterDesc{
+	cacheHits: {"rrrd_cache_hits_total", "counter", "Requests served from a completed or shared computation.",
+		func(s *Snapshot) *int64 { return &s.CacheHits }},
+	cacheMisses: {"rrrd_cache_misses_total", "counter", "Requests that started a new computation.",
+		func(s *Snapshot) *int64 { return &s.CacheMisses }},
+	inFlight: {"rrrd_inflight_computations", "gauge", "Computations currently running.",
+		func(s *Snapshot) *int64 { return &s.InFlight }},
+	failures: {"rrrd_failures_total", "counter", "Computations that failed (excluding cancellations).",
+		func(s *Snapshot) *int64 { return &s.Failures }},
+	canceled: {"rrrd_canceled_total", "counter", "Computations canceled by waiter abandonment or deadlines.",
+		func(s *Snapshot) *int64 { return &s.Canceled }},
+	batches: {"rrrd_batches_total", "counter", "Batch computations started.",
+		func(s *Snapshot) *int64 { return &s.Batches }},
+	batchItems: {"rrrd_batch_items_total", "counter", "Keys claimed by batch computations.",
+		func(s *Snapshot) *int64 { return &s.BatchItems }},
+	coalescedJoins: {"rrrd_coalesced_joins_total", "counter", "Requests that joined a key an in-flight batch claimed.",
+		func(s *Snapshot) *int64 { return &s.CoalescedJoins }},
+	shardedSolves: {"rrrd_sharded_solves_total", "counter", "Computations routed through the map-reduce shard engine.",
+		func(s *Snapshot) *int64 { return &s.Shard.ShardedSolves }},
+	shardsDone: {"rrrd_shards_done_total", "counter", "Shards whose map-phase extraction completed.",
+		func(s *Snapshot) *int64 { return &s.Shard.ShardsDone }},
+	shardCandidates: {"rrrd_shard_candidates_total", "counter", "Candidate tuples the map phases kept.",
+		func(s *Snapshot) *int64 { return &s.Shard.Candidates }},
+	shardInputTuples: {"rrrd_shard_input_tuples_total", "counter", "Tuples the map phases saw before pruning.",
+		func(s *Snapshot) *int64 { return &s.Shard.InputTuples }},
+	deltaMutations: {"rrrd_delta_mutations_total", "counter", "Mutation batches applied to registered datasets.",
+		func(s *Snapshot) *int64 { return &s.Delta.Mutations }},
+	deltaMutatedTuples: {"rrrd_delta_mutated_tuples_total", "counter", "Tuples appended or deleted by mutation batches.",
+		func(s *Snapshot) *int64 { return &s.Delta.MutatedTuples }},
+	deltaRevalidated: {"rrrd_delta_revalidated_total", "counter", "Cached answers proven still exact across a mutation and re-keyed.",
+		func(s *Snapshot) *int64 { return &s.Delta.Revalidated }},
+	deltaRepaired: {"rrrd_delta_repaired_total", "counter", "Cached answers repaired by a reduce-phase re-run on the patched pool.",
+		func(s *Snapshot) *int64 { return &s.Delta.Repaired }},
+	deltaRecomputed: {"rrrd_delta_recomputed_total", "counter", "Cached answers invalidated by a mutation for lazy full recompute.",
+		func(s *Snapshot) *int64 { return &s.Delta.Recomputed }},
+	walAppends: {"rrrd_wal_appends_total", "counter", "Mutation batches made durable in the write-ahead log.",
+		func(s *Snapshot) *int64 { return &s.Persist.WALAppends }},
+	walBytes: {"rrrd_wal_bytes_total", "counter", "Bytes appended to the write-ahead log.",
+		func(s *Snapshot) *int64 { return &s.Persist.WALBytes }},
+	replayedBatches: {"rrrd_replayed_batches_total", "counter", "WAL batches re-applied during boot recovery.",
+		func(s *Snapshot) *int64 { return &s.Persist.ReplayedBatches }},
+	warmedAnswers: {"rrrd_warmed_answers_total", "counter", "Cached answers readmitted from the warm-cache file at boot.",
+		func(s *Snapshot) *int64 { return &s.Persist.WarmedAnswers }},
+	watchSubscribers: {"rrrd_watch_subscribers", "gauge", "Watch streams currently open.",
+		func(s *Snapshot) *int64 { return &s.Watch.Subscribers }},
+	watchEvents: {"rrrd_watch_events_total", "counter", "Events enqueued to watch subscribers (one publish to N subscribers counts N).",
+		func(s *Snapshot) *int64 { return &s.Watch.Events }},
+	watchDropped: {"rrrd_watch_dropped_total", "counter", "Watch subscribers dropped after overflowing their event ring.",
+		func(s *Snapshot) *int64 { return &s.Watch.Dropped }},
+	watchResumes: {"rrrd_watch_resumes_total", "counter", "Watch reconnects resumed by journal replay instead of a fresh snapshot.",
+		func(s *Snapshot) *int64 { return &s.Watch.Resumes }},
+	traceSampled: {"rrrd_trace_sampled_total", "counter", "Head-sampling decisions that recorded the trace.",
+		func(s *Snapshot) *int64 { return &s.Trace.Sampled }},
+	traceUnsampled: {"rrrd_trace_unsampled_total", "counter", "Head-sampling decisions that declined the trace.",
+		func(s *Snapshot) *int64 { return &s.Trace.Unsampled }},
+	exportSpans: {"rrrd_trace_export_spans_total", "counter", "Spans delivered to the OTLP collector in accepted batches.",
+		func(s *Snapshot) *int64 { return &s.Trace.ExportedSpans }},
+	exportBatches: {"rrrd_trace_export_batches_total", "counter", "Batch POSTs the OTLP collector accepted.",
+		func(s *Snapshot) *int64 { return &s.Trace.ExportedBatches }},
+	exportRetries: {"rrrd_trace_export_retries_total", "counter", "Batch POSTs re-attempted after retryable collector failures.",
+		func(s *Snapshot) *int64 { return &s.Trace.ExportRetries }},
+	exportFailures: {"rrrd_trace_export_failures_total", "counter", "Batches abandoned after their final delivery attempt.",
+		func(s *Snapshot) *int64 { return &s.Trace.ExportFailures }},
+	exportDropped: {"rrrd_trace_export_dropped_total", "counter", "Traces dropped instead of blocking a request on a slow or down collector.",
+		func(s *Snapshot) *int64 { return &s.Trace.ExportDropped }},
+}
+
+// Metrics aggregates the daemon's operational counters (counterTable),
+// per-algorithm and per-phase latency histograms, and the few derived
+// values the surfaces compute on read. All methods are safe for concurrent
+// use and safe on a nil receiver (components constructed without metrics
+// just don't report).
 type Metrics struct {
-	hits     atomic.Int64
-	misses   atomic.Int64
-	inflight atomic.Int64
-	failures atomic.Int64
-	canceled atomic.Int64
-
-	batches    atomic.Int64
-	batchItems atomic.Int64
-	coalesced  atomic.Int64
-
-	shardedSolves   atomic.Int64
-	shardsDone      atomic.Int64
-	shardCandidates atomic.Int64
-	shardInput      atomic.Int64
-
-	mutations        atomic.Int64
-	mutatedTuples    atomic.Int64
-	deltaRevalidated atomic.Int64
-	deltaRepaired    atomic.Int64
-	deltaRecomputed  atomic.Int64
-
-	walAppends      atomic.Int64
-	walBytes        atomic.Int64
-	replayedBatches atomic.Int64
-	warmedAnswers   atomic.Int64
-
-	watchSubscribers atomic.Int64 // gauge: live watch streams
-	watchEvents      atomic.Int64
-	watchDropped     atomic.Int64
-	watchResumes     atomic.Int64
-
-	traceSampled   atomic.Int64
-	traceUnsampled atomic.Int64
-	exportSpans    atomic.Int64
-	exportBatches  atomic.Int64
-	exportRetries  atomic.Int64
-	exportFailures atomic.Int64
-	exportDropped  atomic.Int64
+	counters [numCounters]atomic.Int64
 	// snapshotUnixNano is when the last snapshot was written (or, right
 	// after boot, the mtime of the one that was read); 0 = none yet.
 	snapshotUnixNano atomic.Int64
@@ -182,42 +249,76 @@ func NewMetrics() *Metrics {
 	}
 }
 
+// add moves counter c by n.
+func (m *Metrics) add(c counter, n int) {
+	if m != nil {
+		m.counters[c].Add(int64(n))
+	}
+}
+
+// histogramFor returns hs[name], creating it over bounds on first use.
+func (m *Metrics) histogramFor(hs map[string]*histogram, name string, bounds []time.Duration) *histogram {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	h, ok := hs[name]
+	if !ok {
+		h = &histogram{bounds: bounds}
+		hs[name] = h
+	}
+	return h
+}
+
+// namedHistogram is one entry of a histogram map, as sortedHistograms
+// returns it.
+type namedHistogram struct {
+	name string
+	h    *histogram
+}
+
+// sortedHistograms lists hs by name, so every surface renders it in a
+// deterministic order. The lock covers only the map read: callers may
+// then write to a slow client while solves keep observing, because the
+// histogram fields themselves are atomics.
+func (m *Metrics) sortedHistograms(hs map[string]*histogram) []namedHistogram {
+	m.mu.Lock()
+	out := make([]namedHistogram, 0, len(hs))
+	for name, h := range hs {
+		out = append(out, namedHistogram{name, h})
+	}
+	m.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
 // PhaseObserve records one solve-phase duration — the trace recorder's
 // sink (trace.PhaseSink), so every ended span feeds the
 // rrrd_solve_phase_seconds histogram of its phase, carrying its trace
 // ID as the bucket's exemplar. Called outside the recorder's lock;
 // nil-safe like every Metrics method.
 func (m *Metrics) PhaseObserve(phase string, d time.Duration, tid trace.TraceID) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	h, ok := m.phases[phase]
-	if !ok {
-		h = &histogram{bounds: phaseBuckets}
-		m.phases[phase] = h
-	}
-	m.mu.Unlock()
-	h.observeTraced(d, tid)
-}
-
-func (m *Metrics) hit() {
 	if m != nil {
-		m.hits.Add(1)
+		m.histogramFor(m.phases, phase, phaseBuckets).observe(d, tid)
 	}
 }
 
-func (m *Metrics) miss() {
+// solved records one finished computation's latency under algo. A
+// non-zero tid — the trace of the request that started the computation —
+// becomes the latency bucket's exemplar on the OpenMetrics surface.
+func (m *Metrics) solved(algo string, elapsed time.Duration, tid trace.TraceID) {
 	if m != nil {
-		m.misses.Add(1)
+		m.histogramFor(m.latencies, algo, latencyBuckets).observe(elapsed, tid)
 	}
 }
 
-// coalesce records a request joining a key an in-flight batch claimed:
-// the computation it would have started is absorbed into the batch.
-func (m *Metrics) coalesce() {
-	if m != nil {
-		m.coalesced.Add(1)
+// failed counts one failed computation or batch item. Cancellations
+// (client gone, deadline hit) are operationally distinct from solver
+// failures: one is demand disappearing, the other is the system
+// misbehaving.
+func (m *Metrics) failed(err error) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		m.add(canceled, 1)
+	} else {
+		m.add(failures, 1)
 	}
 }
 
@@ -225,146 +326,54 @@ func (m *Metrics) coalesce() {
 // engine: how many shards its plan held and how far the map phase pruned.
 // No-op for unsharded results (shards == 0), so call sites don't branch.
 func (m *Metrics) shardSolve(shards, candidates, input int) {
-	if m == nil || shards <= 0 {
+	if shards <= 0 {
 		return
 	}
-	m.shardedSolves.Add(1)
-	m.shardsDone.Add(int64(shards))
-	m.shardCandidates.Add(int64(candidates))
-	m.shardInput.Add(int64(input))
-}
-
-// mutation records one applied mutation batch touching n tuples.
-func (m *Metrics) mutation(n int) {
-	if m != nil {
-		m.mutations.Add(1)
-		m.mutatedTuples.Add(int64(n))
-	}
-}
-
-// deltaOutcomes records one mutation batch's classification tally:
-// cached answers proven still exact and re-keyed, repaired by a
-// reduce-phase re-run, and invalidated for lazy full recompute.
-func (m *Metrics) deltaOutcomes(revalidated, repaired, recomputed int) {
-	if m != nil {
-		m.deltaRevalidated.Add(int64(revalidated))
-		m.deltaRepaired.Add(int64(repaired))
-		m.deltaRecomputed.Add(int64(recomputed))
-	}
+	m.add(shardedSolves, 1)
+	m.add(shardsDone, shards)
+	m.add(shardCandidates, candidates)
+	m.add(shardInputTuples, input)
 }
 
 // The four methods below implement watch.Counters, making *Metrics the
 // hub's telemetry sink directly — no adapter layer to drift out of sync.
 
 // WatchSubscribers moves the live watch-stream gauge by delta.
-func (m *Metrics) WatchSubscribers(delta int) {
-	if m != nil {
-		m.watchSubscribers.Add(int64(delta))
-	}
-}
+func (m *Metrics) WatchSubscribers(delta int) { m.add(watchSubscribers, delta) }
 
 // WatchEvents records n events enqueued to watch subscribers (fan-out
 // volume: one publish to N subscribers counts N).
-func (m *Metrics) WatchEvents(n int) {
-	if m != nil {
-		m.watchEvents.Add(int64(n))
-	}
-}
+func (m *Metrics) WatchEvents(n int) { m.add(watchEvents, n) }
 
 // WatchDropped records one subscriber dropped by ring overflow.
-func (m *Metrics) WatchDropped() {
-	if m != nil {
-		m.watchDropped.Add(1)
-	}
-}
+func (m *Metrics) WatchDropped() { m.add(watchDropped, 1) }
 
 // WatchResumed records one reconnect served by journal replay instead of
 // a fresh snapshot.
-func (m *Metrics) WatchResumed() {
-	if m != nil {
-		m.watchResumes.Add(1)
-	}
-}
-
-// sampled / unsampled record head-sampling decisions: the serving
-// layer's one sampler call per trace candidate lands in exactly one.
-
-func (m *Metrics) sampled() {
-	if m != nil {
-		m.traceSampled.Add(1)
-	}
-}
-
-func (m *Metrics) unsampled() {
-	if m != nil {
-		m.traceUnsampled.Add(1)
-	}
-}
+func (m *Metrics) WatchResumed() { m.add(watchResumes, 1) }
 
 // The five methods below implement export.Counters, making *Metrics the
 // OTLP exporter's telemetry sink directly — the watch.Counters pattern.
 
 // ExportedSpans counts spans delivered to the collector in accepted
 // batches.
-func (m *Metrics) ExportedSpans(n int) {
-	if m != nil {
-		m.exportSpans.Add(int64(n))
-	}
-}
+func (m *Metrics) ExportedSpans(n int) { m.add(exportSpans, n) }
 
 // ExportBatches counts accepted batch POSTs to the collector.
-func (m *Metrics) ExportBatches(n int) {
-	if m != nil {
-		m.exportBatches.Add(int64(n))
-	}
-}
+func (m *Metrics) ExportBatches(n int) { m.add(exportBatches, n) }
 
 // ExportRetries counts re-attempted batch POSTs after retryable
 // failures.
-func (m *Metrics) ExportRetries(n int) {
-	if m != nil {
-		m.exportRetries.Add(int64(n))
-	}
-}
+func (m *Metrics) ExportRetries(n int) { m.add(exportRetries, n) }
 
 // ExportFailures counts batches abandoned after their final attempt.
-func (m *Metrics) ExportFailures(n int) {
-	if m != nil {
-		m.exportFailures.Add(int64(n))
-	}
-}
+func (m *Metrics) ExportFailures(n int) { m.add(exportFailures, n) }
 
 // ExportDroppedTraces counts traces that never reached the collector —
 // queue overflow under a down or slow collector, or membership in an
 // abandoned batch. This moving is the exporter's drop-never-block
 // contract made visible.
-func (m *Metrics) ExportDroppedTraces(n int) {
-	if m != nil {
-		m.exportDropped.Add(int64(n))
-	}
-}
-
-// walAppend records one durable WAL append of n bytes.
-func (m *Metrics) walAppend(n int) {
-	if m != nil {
-		m.walAppends.Add(1)
-		m.walBytes.Add(int64(n))
-	}
-}
-
-// replayed records n WAL batches re-applied during boot recovery.
-func (m *Metrics) replayed(n int) {
-	if m != nil {
-		m.replayedBatches.Add(int64(n))
-	}
-}
-
-// warmed records n cached answers readmitted from the warm-cache file.
-func (m *Metrics) warmed(n int) {
-	if m != nil {
-		m.warmedAnswers.Add(int64(n))
-	}
-}
+func (m *Metrics) ExportDroppedTraces(n int) { m.add(exportDropped, n) }
 
 // snapshotAt records when the registry snapshot was last written or read.
 func (m *Metrics) snapshotAt(t time.Time) {
@@ -375,82 +384,11 @@ func (m *Metrics) snapshotAt(t time.Time) {
 
 // snapshotAge returns seconds since the last snapshot, -1 when none.
 func (m *Metrics) snapshotAge() float64 {
-	if m == nil {
-		return -1
-	}
 	ns := m.snapshotUnixNano.Load()
 	if ns == 0 {
 		return -1
 	}
 	return time.Since(time.Unix(0, ns)).Seconds()
-}
-
-// batchStarted records one batch computation claiming n keys.
-func (m *Metrics) batchStarted(n int) {
-	if m != nil {
-		m.batches.Add(1)
-		m.batchItems.Add(int64(n))
-	}
-}
-
-// batchItemFinished records one batch item's outcome. Failures and
-// cancellations count like single computations; successful items are
-// carried by the batch-level latency entry, so they are not re-counted
-// here.
-func (m *Metrics) batchItemFinished(algo string, elapsed time.Duration, err error) {
-	if m == nil || err == nil {
-		return
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		m.canceled.Add(1)
-	} else {
-		m.failures.Add(1)
-	}
-}
-
-// computeAbandonedQueued records a computation canceled before it ever
-// started running — every waiter left while it was queued behind the
-// admission semaphore. It never entered the in-flight gauge, but it must
-// show up in the canceled counter or overload cancellations are invisible.
-func (m *Metrics) computeAbandonedQueued() {
-	if m != nil {
-		m.canceled.Add(1)
-	}
-}
-
-func (m *Metrics) computeStarted() {
-	if m != nil {
-		m.inflight.Add(1)
-	}
-}
-
-// computeFinished closes one computation's accounting. A non-zero tid
-// — the trace of the request that started the computation — becomes the
-// latency bucket's exemplar on the OpenMetrics surface.
-func (m *Metrics) computeFinished(algo string, elapsed time.Duration, err error, tid trace.TraceID) {
-	if m == nil {
-		return
-	}
-	m.inflight.Add(-1)
-	if err != nil {
-		// Cancellations (client gone, deadline hit) are operationally
-		// distinct from solver failures: one is demand disappearing, the
-		// other is the system misbehaving.
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			m.canceled.Add(1)
-		} else {
-			m.failures.Add(1)
-		}
-		return
-	}
-	m.mu.Lock()
-	h, ok := m.latencies[algo]
-	if !ok {
-		h = &histogram{}
-		m.latencies[algo] = h
-	}
-	m.mu.Unlock()
-	h.observeTraced(elapsed, tid)
 }
 
 // ShardSnapshot summarizes the map-reduce engine's activity: how many
@@ -566,66 +504,25 @@ func (m *Metrics) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	s := Snapshot{
-		UptimeSeconds:  time.Since(m.start).Seconds(),
-		CacheHits:      m.hits.Load(),
-		CacheMisses:    m.misses.Load(),
-		InFlight:       m.inflight.Load(),
-		Failures:       m.failures.Load(),
-		Canceled:       m.canceled.Load(),
-		Batches:        m.batches.Load(),
-		BatchItems:     m.batchItems.Load(),
-		CoalescedJoins: m.coalesced.Load(),
-		Shard: ShardSnapshot{
-			ShardedSolves: m.shardedSolves.Load(),
-			ShardsDone:    m.shardsDone.Load(),
-			Candidates:    m.shardCandidates.Load(),
-			InputTuples:   m.shardInput.Load(),
-		},
-		Delta: DeltaSnapshot{
-			Mutations:     m.mutations.Load(),
-			MutatedTuples: m.mutatedTuples.Load(),
-			Revalidated:   m.deltaRevalidated.Load(),
-			Repaired:      m.deltaRepaired.Load(),
-			Recomputed:    m.deltaRecomputed.Load(),
-		},
-		Persist: PersistSnapshot{
-			WALAppends:         m.walAppends.Load(),
-			WALBytes:           m.walBytes.Load(),
-			ReplayedBatches:    m.replayedBatches.Load(),
-			WarmedAnswers:      m.warmedAnswers.Load(),
-			SnapshotAgeSeconds: m.snapshotAge(),
-		},
-		Watch: WatchSnapshot{
-			Subscribers: m.watchSubscribers.Load(),
-			Events:      m.watchEvents.Load(),
-			Dropped:     m.watchDropped.Load(),
-			Resumes:     m.watchResumes.Load(),
-		},
-		Trace: TraceSnapshot{
-			Sampled:         m.traceSampled.Load(),
-			Unsampled:       m.traceUnsampled.Load(),
-			ExportedSpans:   m.exportSpans.Load(),
-			ExportedBatches: m.exportBatches.Load(),
-			ExportRetries:   m.exportRetries.Load(),
-			ExportFailures:  m.exportFailures.Load(),
-			ExportDropped:   m.exportDropped.Load(),
-		},
-		Runtime:   readRuntime(),
-		Latencies: make(map[string]HistogramSnapshot),
-		Phases:    make(map[string]HistogramSnapshot),
+		UptimeSeconds: time.Since(m.start).Seconds(),
+		Runtime:       readRuntime(),
+		Latencies:     make(map[string]HistogramSnapshot),
+		Phases:        make(map[string]HistogramSnapshot),
 	}
+	for c := range counterTable {
+		*counterTable[c].leaf(&s) = m.counters[c].Load()
+	}
+	s.Persist.SnapshotAgeSeconds = m.snapshotAge()
 	if s.Shard.InputTuples > 0 {
 		s.Shard.PruneRatio = 1 - float64(s.Shard.Candidates)/float64(s.Shard.InputTuples)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for algo, h := range m.latencies {
-		snap := h.snapshot()
+	for _, e := range m.sortedHistograms(m.latencies) {
+		snap := e.h.snapshot()
 		s.Computations += snap.Count
-		s.Latencies[algo] = snap
+		s.Latencies[e.name] = snap
 	}
-	for phase, h := range m.phases {
-		s.Phases[phase] = h.snapshot()
+	for _, e := range m.sortedHistograms(m.phases) {
+		s.Phases[e.name] = e.h.snapshot()
 	}
 	return s
 }
