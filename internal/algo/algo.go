@@ -56,10 +56,14 @@ type Stats struct {
 	// observation that corners quickly share items).
 	Fallbacks int
 	// TopKQueries counts the corner top-k scans MDRC actually computed:
-	// memo misses only (every corner when memoization is disabled), and
-	// not the top-1 scans of Fallbacks (MDRC only).
+	// one per distinct corner weight vector, however many angle corners
+	// map to it (every corner at every node when memoization is
+	// disabled), and not the top-1 scans of Fallbacks (MDRC only).
 	TopKQueries int
-	// CacheHits counts memoized corner top-k reuses (MDRC only).
+	// CacheHits counts the corner visits answered without a scan, from
+	// the memo or from a corner of the same node with the same weight
+	// vector; with memoization on, TopKQueries + CacheHits is the number
+	// of corners visited, Nodes·2^(d−1) (MDRC only).
 	CacheHits int
 }
 

@@ -500,3 +500,40 @@ func TestMDRCOutputSmall(t *testing.T) {
 		t.Fatalf("output size %d unexpectedly large", len(res.IDs))
 	}
 }
+
+// TestMDRCSparseIDs: MDRC on tuples whose IDs are 2^40 + 7·i must pick
+// the same tuples and do the same work as on the contiguous relabelling,
+// under both pick rules; nothing in it may size memory by ID magnitude.
+func TestMDRCSparseIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(149))
+	dense := randomDataset(rng, 400, 4)
+	const base = 1 << 40
+	ts := make([]core.Tuple, dense.N())
+	for i, tu := range dense.Tuples() {
+		ts[i] = core.Tuple{ID: base + 7*tu.ID, Attrs: tu.Attrs}
+	}
+	sparse, err := core.FromTuples(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pick := range []algo.PickStrategy{algo.PickFirst, algo.PickMinMaxRank} {
+		for _, k := range []int{3, 12} {
+			want, err := algo.MDRC(context.Background(), dense, k, algo.MDRCOptions{Pick: pick})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := algo.MDRC(context.Background(), sparse, k, algo.MDRCOptions{Pick: pick})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mapped := make([]int, len(got.IDs))
+			for i, id := range got.IDs {
+				mapped[i] = (id - base) / 7
+			}
+			if !reflect.DeepEqual(mapped, want.IDs) || got.Stats != want.Stats {
+				t.Errorf("pick %d k=%d: sparse picks %v stats %+v, contiguous %v stats %+v",
+					pick, k, mapped, got.Stats, want.IDs, want.Stats)
+			}
+		}
+	}
+}

@@ -1,11 +1,14 @@
 package algo
 
 import (
+	"cmp"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"rrr/internal/core"
@@ -54,9 +57,11 @@ type MDRCOptions struct {
 	// DisableMemo turns off the corner top-k cache (ablation).
 	DisableMemo bool
 	// Workers bounds the parallelism of per-node corner top-k scans
-	// (default GOMAXPROCS). A node has 2^(d−1) corners, each costing an
-	// O(n log k) scan on a cache miss; they are independent and are
-	// evaluated concurrently. Results are identical for any worker count.
+	// (default GOMAXPROCS). A node has 2^(d−1) corners; each new weight
+	// vector among them costs a top-k scan, at most O(n log k) and
+	// usually cut short by the scan's norm-bound early exit. The scans
+	// are independent and are evaluated concurrently. Results are
+	// identical for any worker count.
 	Workers int
 	// OnProgress, if non-nil, receives the running stats every
 	// progressInterval recursion nodes.
@@ -99,6 +104,7 @@ func MDRC(ctx context.Context, d *core.Dataset, k int, opt MDRCOptions) (*Result
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	corners := 1 << uint(d.Dims()-1)
 	m := &mdrcRun{
 		ctx:      ctx,
 		d:        d,
@@ -107,7 +113,14 @@ func MDRC(ctx context.Context, d *core.Dataset, k int, opt MDRCOptions) (*Result
 		minWidth: minWidth,
 		maxNodes: maxNodes,
 		workers:  workers,
-		cache:    make(map[string][]int),
+		cache:    make(map[string][]idRank),
+		theta:    make([]float64, d.Dims()-1),
+		w:        make([]float64, corners*d.Dims()),
+		keys:     make([]byte, corners*8*d.Dims()),
+		lists:    make([][]idRank, corners),
+		sc:       make([]topk.Scratch, corners),
+		from:     make([]int, corners),
+		pos:      make([]int, corners),
 	}
 	var picked []int
 	if err := m.recurse(geom.FullAngleSpace(d.Dims()), 0, &picked); err != nil {
@@ -124,72 +137,111 @@ type mdrcRun struct {
 	minWidth float64
 	maxNodes int
 	workers  int
-	cache    map[string][]int
+	cache    map[string][]idRank
 	stats    Stats
+	// Per-node buffers, reused at every node. Corner i's angles, weight
+	// vector and memo key are the i-th stride of theta, w and keys;
+	// lists[i] is its top-k answer and sc[i] the arena its scan runs in.
+	// scan lists the corners this node scans; from[i] is the corner whose
+	// answer corner i takes; pos holds commonTuple's merge cursors.
+	theta, w        []float64
+	keys            []byte
+	lists           [][]idRank
+	sc              []topk.Scratch
+	scan, from, pos []int
 }
 
-// cornerLists returns the rank-ordered top-k IDs at every corner of a
-// rectangle, memoized across the recursion: sibling rectangles share half
-// their corners, so the cache removes most of the O(n log k) scans. Cache
-// misses within one node are independent and are computed in parallel;
-// nodes themselves run serially, so the stats and output are identical for
-// any worker count.
-func (m *mdrcRun) cornerLists(corners [][]float64) [][]int {
-	lists := make([][]int, len(corners))
-	var missing []int // indexes into corners still needing a scan
-	if m.opt.DisableMemo {
-		for i := range corners {
-			missing = append(missing, i)
+// idRank is one entry of a corner's top-k answer: a tuple ID and its
+// 0-based rank at that corner. Answers are kept sorted by ID, which is
+// the order commonTuple merges them in.
+type idRank struct {
+	id, rank int
+}
+
+// sortedByID returns the rank-ordered IDs as idRanks sorted by ID.
+func sortedByID(ranked []int) []idRank {
+	out := make([]idRank, len(ranked))
+	for r, id := range ranked {
+		out[r] = idRank{id, r}
+	}
+	slices.SortFunc(out, func(a, b idRank) int { return cmp.Compare(a.id, b.id) })
+	return out
+}
+
+// cornerLists fills m.lists with the top-k answer at every corner of r.
+// The memo is keyed by the corner's weight vector, not its angles:
+// sin 0 = 0 exactly, so on every θ_i = 0 face different angle corners
+// give the same function. Each distinct function is scanned once per run
+// (every corner at every node when memoization is disabled): sibling
+// rectangles share half their corners, and a node's θ_i = 0 corners share
+// one function. A node's scans are independent and run in parallel;
+// nodes run serially, so the stats and output are identical for any
+// worker count.
+func (m *mdrcRun) cornerLists(r geom.Rect) {
+	corners, d := len(m.lists), m.d.Dims()
+	kw := 8 * d
+	key := func(i int) []byte { return m.keys[i*kw : (i+1)*kw] }
+	m.scan = m.scan[:0]
+	for i := 0; i < corners; i++ {
+		w := m.w[i*d : (i+1)*d]
+		r.CornerInto(m.theta, i)
+		geom.AnglesToWeightInto(w, m.theta)
+		for j, v := range w {
+			binary.LittleEndian.PutUint64(key(i)[8*j:], math.Float64bits(v))
 		}
-	} else {
-		for i, c := range corners {
-			if ids, ok := m.cache[angleKey(c)]; ok {
-				m.stats.CacheHits++
-				lists[i] = ids
-			} else {
-				missing = append(missing, i)
+		m.from[i] = i
+		if m.opt.DisableMemo {
+			m.scan = append(m.scan, i)
+			continue
+		}
+		if c, ok := m.cache[string(key(i))]; ok {
+			m.lists[i] = c
+			continue
+		}
+		for _, j := range m.scan {
+			if string(key(j)) == string(key(i)) {
+				m.from[i] = j
+				break
 			}
 		}
-	}
-	m.stats.TopKQueries += len(missing)
-	if len(missing) == 1 || m.workers <= 1 {
-		for _, i := range missing {
-			lists[i] = topk.TopK(m.d, geom.FuncFromAngles(corners[i]), m.k)
+		if m.from[i] == i {
+			m.scan = append(m.scan, i)
 		}
-	} else if len(missing) > 1 {
+	}
+	m.stats.TopKQueries += len(m.scan)
+	if !m.opt.DisableMemo {
+		m.stats.CacheHits += corners - len(m.scan)
+	}
+	query := func(i int) {
+		f := core.LinearFunc{W: m.w[i*d : (i+1)*d]}
+		m.lists[i] = sortedByID(topk.TopKScratch(m.d, f, m.k, &m.sc[i]))
+	}
+	if len(m.scan) == 1 || m.workers <= 1 {
+		for _, i := range m.scan {
+			query(i)
+		}
+	} else if len(m.scan) > 1 {
 		var wg sync.WaitGroup
 		sem := make(chan struct{}, m.workers)
-		for _, i := range missing {
-			i := i
+		for _, i := range m.scan {
 			wg.Add(1)
 			sem <- struct{}{}
 			go func() {
 				defer wg.Done()
-				lists[i] = topk.TopK(m.d, geom.FuncFromAngles(corners[i]), m.k)
+				query(i)
 				<-sem
 			}()
 		}
 		wg.Wait()
 	}
+	for i, j := range m.from {
+		m.lists[i] = m.lists[j]
+	}
 	if !m.opt.DisableMemo {
-		for _, i := range missing {
-			m.cache[angleKey(corners[i])] = lists[i]
+		for _, i := range m.scan {
+			m.cache[string(key(i))] = m.lists[i]
 		}
 	}
-	return lists
-}
-
-// angleKey encodes the exact float bits; MDRC's corners are dyadic
-// subdivisions, so equal corners have identical bit patterns.
-func angleKey(theta []float64) string {
-	buf := make([]byte, 0, len(theta)*8)
-	for _, v := range theta {
-		bits := math.Float64bits(v)
-		for s := 0; s < 64; s += 8 {
-			buf = append(buf, byte(bits>>uint(s)))
-		}
-	}
-	return string(buf)
 }
 
 func (m *mdrcRun) recurse(r geom.Rect, level int, picked *[]int) error {
@@ -209,8 +261,8 @@ func (m *mdrcRun) recurse(r geom.Rect, level int, picked *[]int) error {
 	if level > m.stats.MaxDepth {
 		m.stats.MaxDepth = level
 	}
-	lists := m.cornerLists(r.Corners())
-	if id, ok := m.commonTuple(lists); ok {
+	m.cornerLists(r)
+	if id, ok := m.commonTuple(m.lists); ok {
 		*picked = append(*picked, id)
 		return nil
 	}
@@ -234,41 +286,41 @@ func (m *mdrcRun) recurse(r geom.Rect, level int, picked *[]int) error {
 }
 
 // commonTuple intersects the corner top-k lists (Algorithm 5 line 2) and
-// picks the representative per the configured strategy.
-func (m *mdrcRun) commonTuple(lists [][]int) (int, bool) {
-	// Membership and worst-rank tracking over the smallest list keeps the
-	// intersection O(Σ|lists|).
-	worst := make(map[int]int, len(lists[0]))
-	count := make(map[int]int, len(lists[0]))
-	for _, list := range lists {
-		for rank, id := range list {
-			count[id]++
-			if rank > worst[id] {
-				worst[id] = rank
+// picks the representative per the configured strategy. It merges the
+// ID-sorted lists, so it needs no memory beyond them, however large or
+// sparse the tuple IDs are.
+func (m *mdrcRun) commonTuple(lists [][]idRank) (int, bool) {
+	// pos[c] is the merge cursor into lists[c].
+	pos := m.pos
+	clear(pos)
+	best, bestKey := 0, math.MaxInt
+merge:
+	for _, e := range lists[0] {
+		worst := e.rank
+		for c := 1; c < len(lists); c++ {
+			l := lists[c]
+			for pos[c] < len(l) && l[pos[c]].id < e.id {
+				pos[c]++
 			}
+			if pos[c] == len(l) {
+				break merge // no later ID of lists[0] is in lists[c]
+			}
+			if l[pos[c]].id != e.id {
+				continue merge
+			}
+			worst = max(worst, l[pos[c]].rank)
+		}
+		// PickFirst takes the common tuple ranked best at the first
+		// corner; PickMinMaxRank the one with the smallest worst rank,
+		// equal worst ranks going to the smaller ID. The merge visits IDs
+		// ascending, so a strict < keeps the smaller ID on ties.
+		key := e.rank
+		if m.opt.Pick == PickMinMaxRank {
+			key = worst
+		}
+		if key < bestKey {
+			best, bestKey = e.id, key
 		}
 	}
-	need := len(lists)
-	switch m.opt.Pick {
-	case PickMinMaxRank:
-		best, bestWorst := -1, math.MaxInt
-		for id, c := range count {
-			if c != need {
-				continue
-			}
-			if worst[id] < bestWorst || (worst[id] == bestWorst && id < best) {
-				best, bestWorst = id, worst[id]
-			}
-		}
-		if best >= 0 {
-			return best, true
-		}
-	default: // PickFirst
-		for _, id := range lists[0] {
-			if count[id] == need {
-				return id, true
-			}
-		}
-	}
-	return 0, false
+	return best, bestKey < math.MaxInt
 }

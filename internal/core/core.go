@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Tuple is a single item of the database: an identifier plus a point in R^d.
@@ -63,25 +64,32 @@ type Dataset struct {
 	// byID maps tuple ID to index in tuples. It is nil when IDs equal
 	// indexes (the common case), avoiding the map entirely.
 	byID map[int]int
+	// scanOnce guards scanOrder and scanNorms, which the first
+	// ScanOrder call builds and every later one shares.
+	scanOnce  sync.Once
+	scanOrder []int32
+	scanNorms []float64
 }
 
 // NewDataset builds a dataset from raw points, assigning IDs 0..n-1 in
 // order. All points must share the same non-zero dimension and contain only
-// finite values.
+// finite values. The points are copied into one backing array, so a
+// dataset costs two allocations however many tuples it holds.
 func NewDataset(points [][]float64) (*Dataset, error) {
-	if len(points) == 0 {
-		return nil, errors.New("core: empty dataset")
+	if err := checkSize(len(points)); err != nil {
+		return nil, err
 	}
 	d := len(points[0])
 	if d == 0 {
 		return nil, errors.New("core: zero-dimensional tuples")
 	}
 	tuples := make([]Tuple, len(points))
+	backing := make([]float64, len(points)*d)
 	for i, p := range points {
 		if len(p) != d {
 			return nil, fmt.Errorf("core: tuple %d has %d attributes, want %d", i, len(p), d)
 		}
-		attrs := make([]float64, d)
+		attrs := backing[i*d : (i+1)*d : (i+1)*d]
 		for j, v := range p {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return nil, fmt.Errorf("core: tuple %d attribute %d is not finite", i, j)
@@ -96,8 +104,8 @@ func NewDataset(points [][]float64) (*Dataset, error) {
 // FromTuples builds a dataset from pre-labelled tuples. IDs must be unique;
 // they need not be contiguous. Tuples are not copied.
 func FromTuples(ts []Tuple) (*Dataset, error) {
-	if len(ts) == 0 {
-		return nil, errors.New("core: empty dataset")
+	if err := checkSize(len(ts)); err != nil {
+		return nil, err
 	}
 	d := ts[0].Dim()
 	if d == 0 {
@@ -124,6 +132,18 @@ func FromTuples(ts []Tuple) (*Dataset, error) {
 	return ds, nil
 }
 
+// checkSize rejects an empty dataset, and one too large for ScanOrder's
+// int32 indexes.
+func checkSize(n int) error {
+	if n == 0 {
+		return errors.New("core: empty dataset")
+	}
+	if n > math.MaxInt32 {
+		return fmt.Errorf("core: %d tuples exceed the limit of %d", n, math.MaxInt32)
+	}
+	return nil
+}
+
 // MustNewDataset is NewDataset that panics on error; intended for tests and
 // examples with literal data.
 func MustNewDataset(points [][]float64) *Dataset {
@@ -145,6 +165,90 @@ func (d *Dataset) Tuple(i int) Tuple { return d.tuples[i] }
 
 // Tuples returns the underlying tuple slice. Callers must not modify it.
 func (d *Dataset) Tuples() []Tuple { return d.tuples }
+
+// ScanOrder returns the dataset's slice indexes ordered by descending
+// Norm of their tuples, up to one bucket width (below), and for each
+// position the largest norm from that position to the end. The first
+// call builds both, in O(n), and every later call, concurrent ones
+// included, shares them: 12 bytes per tuple, built at most once per
+// dataset. Callers must not modify either slice.
+//
+// Top-k selection scans in this order so that it can stop early: by
+// Cauchy–Schwarz no tuple from position j on scores above
+// ‖w‖·norms[j]. The order is a counting sort into n buckets of equal
+// width between the smallest and the largest finite norm, with +Inf
+// first and each bucket in index order. Within a bucket norms may rise,
+// which is why norms[j] is a suffix maximum and not tuple j's own norm;
+// it exceeds that norm by less than one bucket width. A bucket is at
+// least 2^-20 of the largest norm wide, so tuples whose norms differ only
+// by rounding, such as points on a sphere, keep their index order and
+// are read in memory order.
+func (d *Dataset) ScanOrder() ([]int32, []float64) {
+	d.scanOnce.Do(func() {
+		n := len(d.tuples)
+		byIndex := make([]float64, n)
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for i, t := range d.tuples {
+			v := Norm(t.Attrs)
+			byIndex[i] = v
+			if !math.IsInf(v, 1) {
+				lo, hi = min(lo, v), max(hi, v)
+			}
+		}
+		// Bucket 0 holds the +Inf norms; buckets 1..n the finite ones,
+		// the largest first.
+		scale := 0.0
+		if width := max(hi-lo, hi*0x1p-20); width > 0 {
+			scale = float64(n-1) / width
+		}
+		bucket := func(v float64) int {
+			if math.IsInf(v, 1) {
+				return 0
+			}
+			return 1 + int((hi-v)*scale)
+		}
+		start := make([]int32, n+2)
+		for _, v := range byIndex {
+			start[bucket(v)+1]++
+		}
+		for b := 1; b < len(start); b++ {
+			start[b] += start[b-1]
+		}
+		d.scanOrder = make([]int32, n)
+		for i, v := range byIndex {
+			b := bucket(v)
+			d.scanOrder[start[b]] = int32(i)
+			start[b]++
+		}
+		d.scanNorms = make([]float64, n)
+		for j := n - 1; j >= 0; j-- {
+			d.scanNorms[j] = byIndex[d.scanOrder[j]]
+			if j+1 < n {
+				d.scanNorms[j] = max(d.scanNorms[j], d.scanNorms[j+1])
+			}
+		}
+	})
+	return d.scanOrder, d.scanNorms
+}
+
+// Norm returns the Euclidean norm of v, computed as the square root of
+// the sum of squares in index order, or +Inf when some v[i] is not finite
+// or has a non-zero magnitude outside [2^-500, 2^500]. In that range no
+// square or product with a weight in the same range underflows or
+// overflows, so the result differs from the exact norm by rounding alone:
+// at most a factor (1 − γ_d)(1 − 2^-53) below it, γ_d = d·2^-53/(1 − d·2^-53).
+// +Inf is an upper bound that never lets a scan stop early.
+func Norm(v []float64) float64 {
+	var s float64
+	for _, x := range v {
+		a := math.Abs(x)
+		if a != 0 && !(a >= 0x1p-500 && a <= 0x1p500) {
+			return math.Inf(1)
+		}
+		s += x * x
+	}
+	return math.Sqrt(s)
+}
 
 // ByID returns the tuple with the given ID.
 func (d *Dataset) ByID(id int) (Tuple, bool) {
@@ -257,8 +361,10 @@ func (f LinearFunc) Score(t Tuple) float64 {
 	return s
 }
 
-// ScoreAttrs computes the score of a raw attribute vector.
+// ScoreAttrs computes the score of a raw attribute vector, with the same
+// arithmetic as Score.
 func (f LinearFunc) ScoreAttrs(attrs []float64) float64 {
+	attrs = attrs[:len(f.W)] // one bounds check instead of one per term
 	var s float64
 	for i, w := range f.W {
 		s += w * attrs[i]

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -334,5 +335,44 @@ func TestSubset(t *testing.T) {
 	}
 	if _, err := d.Subset([]int{42}); err == nil {
 		t.Fatal("expected unknown-ID error")
+	}
+}
+
+// Property: ScanOrder is a permutation, and norms[j] is at least the
+// Norm of every tuple from position j on, non-increasing, with +Inf for
+// tuples outside Norm's range. Inputs mix zero rows, duplicates, values
+// too small or too large to square safely, and near-equal norms.
+func TestScanOrderBoundsEveryLaterNorm(t *testing.T) {
+	values := []float64{0, 0.25, 0.5, 1, 0x1p-501, 0x1p501, 1 - 0x1p-52}
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		points := make([][]float64, 1+rng.Intn(40))
+		for i := range points {
+			points[i] = []float64{values[rng.Intn(len(values))], values[rng.Intn(len(values))]}
+		}
+		d := core.MustNewDataset(points)
+		order, norms := d.ScanOrder()
+		seen := make([]bool, d.N())
+		for j, i := range order {
+			if seen[i] {
+				return false
+			}
+			seen[i] = true
+			for _, later := range order[j:] {
+				if core.Norm(d.Tuple(int(later)).Attrs) > norms[j] {
+					return false
+				}
+			}
+			if j > 0 && norms[j] > norms[j-1] {
+				return false
+			}
+		}
+		return len(order) == d.N()
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if n := core.Norm([]float64{0x1p-501, 1}); n != math.Inf(1) {
+		t.Fatalf("Norm with a value below 2^-500 = %v, want +Inf", n)
 	}
 }

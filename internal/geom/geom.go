@@ -33,15 +33,20 @@ const HalfPi = math.Pi / 2
 // AnglesToWeight maps a point of the angle space [0, π/2]^{d-1} to the unit
 // weight vector of the corresponding ranking function (d = len(theta)+1).
 func AnglesToWeight(theta []float64) []float64 {
-	d := len(theta) + 1
-	w := make([]float64, d)
+	w := make([]float64, len(theta)+1)
+	AnglesToWeightInto(w, theta)
+	return w
+}
+
+// AnglesToWeightInto is AnglesToWeight writing into the caller's
+// len(theta)+1 buffer, with bit-identical results.
+func AnglesToWeightInto(w, theta []float64) {
 	sinProd := 1.0
 	for i, th := range theta {
 		w[i] = sinProd * math.Cos(th)
 		sinProd *= math.Sin(th)
 	}
-	w[d-1] = sinProd
-	return w
+	w[len(theta)] = sinProd
 }
 
 // WeightToAngles inverts AnglesToWeight for non-negative weight vectors.
@@ -270,20 +275,24 @@ func (r Rect) Split(axis int) (Rect, Rect) {
 // Corners enumerates the 2^dim corner points of the rectangle in a
 // deterministic order (binary counting over axes, low bit = axis 0 at Lo).
 func (r Rect) Corners() [][]float64 {
-	dim := r.Dim()
-	out := make([][]float64, 0, 1<<uint(dim))
-	for mask := 0; mask < 1<<uint(dim); mask++ {
-		c := make([]float64, dim)
-		for i := 0; i < dim; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				c[i] = r.Hi[i]
-			} else {
-				c[i] = r.Lo[i]
-			}
-		}
-		out = append(out, c)
+	out := make([][]float64, 1<<uint(r.Dim()))
+	for mask := range out {
+		out[mask] = make([]float64, r.Dim())
+		r.CornerInto(out[mask], mask)
 	}
 	return out
+}
+
+// CornerInto writes corner number mask of Corners' order into the
+// caller's length-Dim buffer.
+func (r Rect) CornerInto(c []float64, mask int) {
+	for i := range c {
+		if mask&(1<<uint(i)) != 0 {
+			c[i] = r.Hi[i]
+		} else {
+			c[i] = r.Lo[i]
+		}
+	}
 }
 
 // Contains reports whether the angle point lies inside the closed

@@ -164,9 +164,9 @@ func (sc *SampleScratch) weight(dims int) []float64 {
 var ErrDrawBudget = errors.New("kset: draw budget exhausted")
 
 // cancelCheckInterval is how many draws pass between context checks. A
-// draw costs an O(n log k) top-k scan, so even a small interval keeps the
-// check overhead unmeasurable while bounding cancellation latency to a
-// few dozen scans.
+// draw costs at most an O(n log k) top-k scan, so even a small interval
+// keeps the check overhead unmeasurable while bounding cancellation
+// latency to a few dozen scans.
 const cancelCheckInterval = 16
 
 // progressInterval is how many draws pass between OnProgress callbacks; a

@@ -35,36 +35,11 @@ func TopKScratch(d *core.Dataset, f core.LinearFunc, k int, sc *Scratch) []int {
 	if k > n {
 		k = n
 	}
-	h := sc.h[:0]
-	for _, t := range d.Tuples() {
-		it := item{id: t.ID, score: f.Score(t)}
-		if len(h) < k {
-			h = append(h, it)
-			siftUp(h, len(h)-1)
-			continue
-		}
-		if worse(it, h[0]) {
-			continue
-		}
-		h[0] = it
-		siftDown(h, 0)
-	}
-	sc.h = h
+	sc.h = scan(d, f, k, sc.h)
 	if cap(sc.out) < k {
 		sc.out = make([]int, k)
 	}
-	out := sc.out[:k]
-	// Pop into rank order: repeatedly remove the worst.
-	for i := k - 1; i >= 0; i-- {
-		out[i] = h[0].id
-		last := len(h) - 1
-		h[0] = h[last]
-		h = h[:last]
-		if last > 0 {
-			siftDown(h, 0)
-		}
-	}
-	return out
+	return pop(sc.h, sc.out[:k])
 }
 
 // TopKSetScratch is TopKSet on a caller-owned arena: the top-k IDs sorted
