@@ -62,16 +62,6 @@ type BatchStats struct {
 	// subproblem: duplicate k values, and dual probes landing on the
 	// primal k-grid.
 	Reused int
-	// Shards is the shard count of the map-reduce plan the batch solved
-	// through (0 when the solver is unsharded; see WithShards).
-	Shards int
-	// Candidates is the size of the largest candidate pool the batch
-	// built. The primal grid runs on a pool covering its largest k; dual
-	// rounds may build wider (or, late in a descending search, tighter)
-	// pools, and the widest one is reported here (0 when unsharded).
-	Candidates int
-	// PruneRatio is 1 − Candidates/n for that pool (0 when unsharded).
-	PruneRatio float64
 	// Elapsed is the wall-clock time of the whole batch.
 	Elapsed time.Duration
 }
@@ -139,7 +129,6 @@ func (s *Solver) SolveBatch(ctx context.Context, d *Dataset, reqs []Request) (*B
 	b := &batchRun{
 		solver:    s,
 		d:         d,
-		data:      d,
 		algorithm: algorithm,
 		start:     time.Now(),
 		memo:      make(map[int]*memoEntry),
@@ -219,11 +208,6 @@ func (s *Solver) SolveBatch(ctx context.Context, d *Dataset, reqs []Request) (*B
 			b.stats.Reused += entry.uses - 1
 		}
 	}
-	if b.widestPool != nil {
-		b.stats.Shards = b.widestPool.shards
-		b.stats.Candidates = b.widestPool.candidates
-		b.stats.PruneRatio = b.widestPool.pruneRatio()
-	}
 	b.stats.Elapsed = time.Since(b.start)
 	out.Stats = b.stats
 	return out, nil
@@ -238,17 +222,6 @@ type batchRun struct {
 	memo      map[int]*memoEntry
 	stats     BatchStats
 	workers   int
-	// data is the dataset the grid phases run on: d itself when unsharded,
-	// the current shard pool's candidate dataset otherwise.
-	data *Dataset
-	// pool is the current candidate pool. A pool for rank target k answers
-	// every k' <= k exactly (per-shard candidate sets are monotone in k);
-	// a round rebuilds it when a dual probe outgrows it or descends past
-	// the staleness bound (shardPool.covers).
-	pool *shardPool
-	// widestPool is the largest-k pool built during the run — the one the
-	// primal grid ran on — reported in BatchStats.
-	widestPool *shardPool
 	// progress is the user's WithProgress callback, pre-wrapped with a
 	// mutex because tails fire it from pool workers. Nil when unset.
 	progress func(algo.Stats)
@@ -273,33 +246,6 @@ func (b *batchRun) solveGrid(ctx context.Context, ks []int) {
 		}
 		return
 	}
-	if s := b.solver; s.cfg.shards > 1 {
-		// ks is sorted ascending, so the last entry is the round's largest
-		// target; one pool built for it serves the whole round, and later
-		// rounds reuse it while it covers them — rebuilt when a dual probe
-		// outgrows it or descends far enough that the stale pool would
-		// forfeit its pruning (shardPool.covers).
-		maxK := ks[len(ks)-1]
-		if !b.pool.covers(maxK) {
-			pool, mstats, err := s.buildPool(ctx, b.d, maxK, b.algorithm, b.start)
-			if err != nil {
-				// Even a failed map phase spent its sampler draws.
-				b.stats.Draws += mstats.Draws
-				wrapped := s.wrapShardError(b.algorithm, b.start, mstats, err)
-				for _, k := range ks {
-					b.memo[k] = &memoEntry{err: wrapped}
-				}
-				return
-			}
-			b.pool = pool
-			b.data = pool.data
-			if b.widestPool == nil || pool.k > b.widestPool.k {
-				b.widestPool = pool
-			}
-			// Map-phase sampling is part of the batch's draw work.
-			b.stats.Draws += pool.draws
-		}
-	}
 	switch b.algorithm {
 	case Algo2DRRR:
 		b.gridTwoD(ctx, ks)
@@ -314,16 +260,16 @@ func (b *batchRun) solveGrid(ctx context.Context, ks []int) {
 // the per-k interval covers across the pool.
 func (b *batchRun) gridTwoD(ctx context.Context, ks []int) {
 	s := b.solver
-	rangesPerK, err := sweep.FindRangesMulti(ctx, b.data, ks)
+	rangesPerK, err := sweep.FindRangesMulti(ctx, b.d, ks)
 	b.stats.Sweeps++
 	if err != nil {
 		// The sweep failed for every k at once; each item reports it the
 		// way a single solve would (a canceled sweep becomes the typed
-		// cancellation error, carrying the pool's counters when sharded).
+		// cancellation error).
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			err = &algo.Interrupted{Err: err}
 		}
-		wrapped := b.pool.applyPartial(s.wrapSolveError(b.algorithm, b.start, err))
+		wrapped := s.wrapSolveError(b.algorithm, b.start, err)
 		for _, k := range ks {
 			b.memo[k] = &memoEntry{err: wrapped}
 		}
@@ -354,7 +300,7 @@ func (b *batchRun) gridMDRRR(ctx context.Context, ks []int) {
 	// solve arena for its draw buffers; it is returned before the fan-out.
 	arena := s.arenas.get()
 	sampler.Scratch = &arena.sampler
-	cols, sstats, serrs := kset.SampleMulti(ctx, b.data, ks, sampler)
+	cols, sstats, serrs := kset.SampleMulti(ctx, b.d, ks, sampler)
 	s.arenas.put(arena)
 	// Within one shared stream, the per-k draw counter of the
 	// longest-running k is the stream's total; across solveGrid calls
@@ -383,12 +329,12 @@ func (b *batchRun) gridMDRRR(ctx context.Context, ks []int) {
 			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 				err = &algo.Interrupted{Stats: partial, Err: err}
 			}
-			entries[i] = &memoEntry{err: b.pool.applyPartial(s.wrapSolveError(b.algorithm, b.start, err))}
+			entries[i] = &memoEntry{err: s.wrapSolveError(b.algorithm, b.start, err)}
 			return
 		}
 		opt := hitOpts
 		opt.KSets = cols[i]
-		res, err := algo.MDRRR(ctx, b.data, ks[i], opt)
+		res, err := algo.MDRRR(ctx, b.d, ks[i], opt)
 		// The collection was pre-sampled, so MDRRR didn't count the draws;
 		// restore them — on the partial stats of a failed hitting phase
 		// too — for parity with a sequential solve.
@@ -413,7 +359,7 @@ func (b *batchRun) gridMDRC(ctx context.Context, ks []int) {
 	opt := b.solver.mdrcOptions(b.progress)
 	entries := make([]*memoEntry, len(ks))
 	b.fanOut(len(ks), func(i int) {
-		res, err := algo.MDRC(ctx, b.data, ks[i], opt)
+		res, err := algo.MDRC(ctx, b.d, ks[i], opt)
 		entries[i] = b.finish(res, err)
 	})
 	for i, k := range ks {
@@ -425,7 +371,7 @@ func (b *batchRun) gridMDRC(ctx context.Context, ks []int) {
 // the same conversion Solve applies.
 func (b *batchRun) finish(res *algo.Result, err error) *memoEntry {
 	if err != nil {
-		return &memoEntry{err: b.pool.applyPartial(b.solver.wrapSolveError(b.algorithm, b.start, err))}
+		return &memoEntry{err: b.solver.wrapSolveError(b.algorithm, b.start, err)}
 	}
 	out := &Result{
 		IDs:       res.IDs,
@@ -435,7 +381,6 @@ func (b *batchRun) finish(res *algo.Result, err error) *memoEntry {
 		Draws:     res.Stats.SamplerDraws,
 		Elapsed:   time.Since(b.start),
 	}
-	b.pool.applyTo(out)
 	return &memoEntry{res: out}
 }
 

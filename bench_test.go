@@ -224,16 +224,11 @@ func BenchmarkSolveSequential8K(b *testing.B) {
 	}
 }
 
-// --- sharded map-reduce engine ---------------------------------------------
+// --- single solves ---------------------------------------------------------
 
-// shardBenchCases are the acceptance workloads for the map-reduce engine:
-// the 2-D path (where the map phase replaces one sweep with P parallel
-// per-shard sweeps plus a reduce sweep over the pruned pool) and the MDRC
-// path (where every corner top-k scan shrinks from n to the candidate
-// pool). Sharded and sequential runs produce identical IDs — tested in
-// shards_test.go — so the ratio of these benchmarks compares cost alone,
-// recorded in EXPERIMENTS.md §5.
-var shardBenchCases = []struct {
+// sequentialBenchCases are one 2-D and one MDRC solve at the sizes
+// EXPERIMENTS.md §5 measured the retired sharded solve against.
+var sequentialBenchCases = []struct {
 	name    string
 	kind    string
 	n, d, k int
@@ -242,27 +237,8 @@ var shardBenchCases = []struct {
 	{"mdrc", "dot", 5000, 4, 50},
 }
 
-func BenchmarkShardedSolve(b *testing.B) {
-	for _, tc := range shardBenchCases {
-		b.Run(tc.name+"-p8", func(b *testing.B) {
-			d := benchDataset(b, tc.kind, tc.n, tc.d)
-			solver := rrr.New(rrr.WithShards(8))
-			b.ResetTimer()
-			var prune float64
-			for i := 0; i < b.N; i++ {
-				res, err := solver.Solve(context.Background(), d, tc.k)
-				if err != nil {
-					b.Fatal(err)
-				}
-				prune = res.PruneRatio
-			}
-			b.ReportMetric(prune*100, "prune_%")
-		})
-	}
-}
-
 func BenchmarkSequentialSolve(b *testing.B) {
-	for _, tc := range shardBenchCases {
+	for _, tc := range sequentialBenchCases {
 		b.Run(tc.name, func(b *testing.B) {
 			d := benchDataset(b, tc.kind, tc.n, tc.d)
 			solver := rrr.New()

@@ -11,7 +11,6 @@
 //	rrr -dataset bn -n 10000 -d 3 -k 100 -algo mdrrr -evaluate
 //	rrr -dataset dot -n 5000 -d 2 -k 50 -algo 2drrr
 //	rrr -dataset dot -n 5000 -d 2 -ks 10,50,100   # one sweep, three answers
-//	rrr -dataset dot -n 50000 -d 2 -k 50 -shards 8   # map-reduce, same answer
 //
 // The watch subcommand tails a running rrrd's live-update stream instead
 // of solving locally (one line per event, auto-reconnect with resume):
@@ -33,7 +32,6 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -91,8 +89,6 @@ func run() error {
 		dual     = flag.Int("size", 0, "solve the dual problem instead: minimal k for this size budget")
 		timeout  = flag.Duration("timeout", 0, "abort the solve after this long (0 = no deadline)")
 		progress = flag.Bool("progress", false, "report solver progress to stderr while running")
-		shards   = flag.Int("shards", 1, "map-reduce shard count (1 = unsharded; results identical on the deterministic paths)")
-		shardW   = flag.Int("shard-workers", runtime.GOMAXPROCS(0), "worker pool for the shard map phase (defaults to GOMAXPROCS)")
 		logFmt   = flag.String("log-format", "text", "stderr diagnostics format: text or json (results still print to stdout)")
 	)
 	flag.Parse()
@@ -101,11 +97,6 @@ func run() error {
 		return err
 	}
 	slog.SetDefault(logger)
-	// One shared rule with rrrd and the service layer: negatives fail, 0
-	// means "auto" (unsharded / GOMAXPROCS). This CLI has no batch flag.
-	if err := rrr.ValidateWorkers(*shards, *shardW, 0); err != nil {
-		return err
-	}
 
 	table, err := loadTable(*input, *dsKind, *n, *seed)
 	if err != nil {
@@ -127,8 +118,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	opts := []rrr.Option{rrr.WithAlgorithm(algorithm), rrr.WithSeed(*seed),
-		rrr.WithShards(*shards), rrr.WithShardWorkers(*shardW)}
+	opts := []rrr.Option{rrr.WithAlgorithm(algorithm), rrr.WithSeed(*seed)}
 	if *progress {
 		last := time.Now()
 		opts = append(opts, rrr.WithProgress(func(p rrr.Progress) {
@@ -171,10 +161,6 @@ func run() error {
 		}
 	}
 	fmt.Printf("algorithm: %s, k=%d, output size: %d\n", res.Algorithm, *k, len(res.IDs))
-	if res.Shards > 0 {
-		fmt.Printf("sharded: %d shards, %d candidates (%.1f%% pruned)\n",
-			res.Shards, res.Candidates, res.PruneRatio*100)
-	}
 	fmt.Println()
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
@@ -225,10 +211,6 @@ func runBatch(ctx context.Context, solver *rrr.Solver, ds *rrr.Dataset, ksSpec s
 	fmt.Printf("batch: %d queries, %d solves, %d reused, %d sweeps, %d draws, %v\n",
 		len(br.Items), br.Stats.Solves, br.Stats.Reused, br.Stats.Sweeps, br.Stats.Draws,
 		br.Stats.Elapsed.Round(time.Millisecond))
-	if br.Stats.Shards > 0 {
-		fmt.Printf("sharded: %d shards, %d candidates (%.1f%% pruned)\n",
-			br.Stats.Shards, br.Stats.Candidates, br.Stats.PruneRatio*100)
-	}
 	fmt.Println()
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "query\tk\tsize\tids")

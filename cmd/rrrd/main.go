@@ -10,11 +10,6 @@
 // deadline end to end: the context reaches the solver's hot loops, so an
 // over-budget solve is actually interrupted, not merely abandoned.
 //
-// -shards routes every solve through the map-reduce engine: the dataset is
-// split into P shards, a parallel map phase prunes it to an exact candidate
-// pool, and the algorithm runs on the pool (see DESIGN.md §7). Shard
-// counters appear in /v1/stats and, in Prometheus text format, /v1/metrics.
-//
 // -delta enables the mutation subsystem (DESIGN.md §8): datasets gain
 // append/delete endpoints with stable tuple IDs and monotonically
 // increasing generations, and each mutation batch classifies every cached
@@ -71,7 +66,6 @@
 // Examples:
 //
 //	rrrd -addr :8080 -preload flights=dot:5000:3,diamonds=bn:5000 -request-timeout 30s
-//	rrrd -shards 8 -shard-workers 4 -preload flights=dot:100000:2
 //	rrrd -delta -preload flights=dot:5000:2
 //	rrrd -delta -watch -preload flights=dot:5000:2
 //	rrrd -delta -data-dir /var/lib/rrrd -fsync always -preload flights=dot:5000:2
@@ -123,10 +117,8 @@ func run() error {
 		seed       = flag.Int64("seed", 1, "solver seed (MDRRR sampling, regret estimation)")
 		reqTimeout = flag.Duration("request-timeout", 0, "per-request deadline; a representative request exceeding it gets 504 with kind \"canceled\" (0 = unlimited)")
 		nodeBudget = flag.Int("node-budget", 0, "hard MDRC recursion-node budget per solve; exhaustion returns kind \"budget_exhausted\" (0 = paper's soft cap)")
-		drawBudget = flag.Int("draw-budget", 0, "hard K-SETr draw budget per sampling phase (with -shards each shard's map sampler and the reduce get their own); exhaustion returns kind \"budget_exhausted\" (0 = paper's soft cap)")
+		drawBudget = flag.Int("draw-budget", 0, "hard K-SETr draw budget per solve; exhaustion returns kind \"budget_exhausted\" (0 = paper's soft cap)")
 		batchWork  = flag.Int("batch-workers", runtime.GOMAXPROCS(0), "worker pool for /v1/batch per-query tail work (defaults to GOMAXPROCS)")
-		shards     = flag.Int("shards", 1, "map-reduce shard count for every solve (1 = unsharded)")
-		shardWork  = flag.Int("shard-workers", runtime.GOMAXPROCS(0), "worker pool for the shard map phase (defaults to GOMAXPROCS)")
 		deltaOn    = flag.Bool("delta", false, "enable the delta engine: POST /v1/datasets/{name}/append and .../delete mutate datasets in place, with cached answers revalidated, repaired or invalidated by containment tests instead of a cold cache")
 		watchOn    = flag.Bool("watch", false, "enable the live-update push subsystem: GET /v1/watch streams snapshot/heartbeat/representative events per (dataset,k,algo) over SSE as mutations commit (requires -delta)")
 		watchBuf   = flag.Int("watch-buffer", 64, "per-subscriber watch event ring capacity; a subscriber falling further behind is dropped with a terminal overflow event")
@@ -149,7 +141,7 @@ func run() error {
 	}
 	slog.SetDefault(logger)
 
-	if err := validateWorkerFlags(*shards, *shardWork, *batchWork); err != nil {
+	if err := validateWorkerFlags(*batchWork); err != nil {
 		return err
 	}
 	if *watchOn && !*deltaOn {
@@ -165,8 +157,6 @@ func run() error {
 	cfg := service.Config{
 		Seed:                *seed,
 		SolverOptions:       solverOpts,
-		Shards:              *shards,
-		ShardWorkers:        *shardWork,
 		DeltaMaintenance:    *deltaOn,
 		Watch:               *watchOn,
 		WatchBuffer:         *watchBuf,
@@ -323,13 +313,13 @@ func newLogger(format string) (*slog.Logger, error) {
 	}
 }
 
-// validateWorkerFlags rejects nonsensical parallelism settings up front by
-// delegating to the library's single rule (rrr.ValidateWorkers), so the
-// daemon's flags, the rrr CLI and service.Config all accept and reject
-// exactly the same values: negatives fail, 0 means "auto" (unsharded for
-// -shards, GOMAXPROCS for the worker pools).
-func validateWorkerFlags(shards, shardWorkers, batchWorkers int) error {
-	return rrr.ValidateWorkers(shards, shardWorkers, batchWorkers)
+// validateWorkerFlags rejects a negative -batch-workers up front; 0 means
+// "auto" (GOMAXPROCS), as rrr.WithBatchWorkers documents.
+func validateWorkerFlags(batchWorkers int) error {
+	if batchWorkers < 0 {
+		return fmt.Errorf("batch-workers must be positive or 0 (auto: GOMAXPROCS), got %d", batchWorkers)
+	}
+	return nil
 }
 
 // preloadDatasets parses and registers the -preload specs.

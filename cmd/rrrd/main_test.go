@@ -7,29 +7,25 @@ import (
 
 func TestValidateWorkerFlags(t *testing.T) {
 	cases := []struct {
-		shards, shardWorkers, batchWorkers int
-		wantErr                            string
+		batchWorkers int
+		wantErr      string
 	}{
-		{1, 1, 1, ""},
-		{8, 4, 4, ""},
-		// Zeros mean "auto" under the shared rule (unsharded / GOMAXPROCS).
-		{0, 0, 0, ""},
-		{-2, 4, 4, "shards"},
-		{2, -1, 4, "shard-workers"},
-		{2, 4, -7, "batch-workers"},
+		{1, ""},
+		{4, ""},
+		// Zero means "auto" (GOMAXPROCS).
+		{0, ""},
+		{-7, "batch-workers"},
 	}
 	for _, tc := range cases {
-		err := validateWorkerFlags(tc.shards, tc.shardWorkers, tc.batchWorkers)
+		err := validateWorkerFlags(tc.batchWorkers)
 		if tc.wantErr == "" {
 			if err != nil {
-				t.Errorf("validateWorkerFlags(%d, %d, %d) = %v, want nil",
-					tc.shards, tc.shardWorkers, tc.batchWorkers, err)
+				t.Errorf("validateWorkerFlags(%d) = %v, want nil", tc.batchWorkers, err)
 			}
 			continue
 		}
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("validateWorkerFlags(%d, %d, %d) = %v, want error mentioning %q",
-				tc.shards, tc.shardWorkers, tc.batchWorkers, err, tc.wantErr)
+			t.Errorf("validateWorkerFlags(%d) = %v, want error mentioning %q", tc.batchWorkers, err, tc.wantErr)
 		}
 	}
 }

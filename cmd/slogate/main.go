@@ -45,12 +45,13 @@ type phaseResult struct {
 	MaxNS    int64 `json:"max_ns"`
 }
 
-// sloResult is the result/baseline file schema.
+// sloResult is the result/baseline file schema. Baselines written before
+// the shard count was dropped still carry a "shards" field; decoding
+// ignores it.
 type sloResult struct {
-	N      int         `json:"dataset_rows"`
-	Shards int         `json:"shards"`
-	Cold   phaseResult `json:"cold"`
-	Warm   phaseResult `json:"warm"`
+	N    int         `json:"dataset_rows"`
+	Cold phaseResult `json:"cold"`
+	Warm phaseResult `json:"warm"`
 }
 
 func run(args []string, out io.Writer) int {
@@ -60,7 +61,6 @@ func run(args []string, out io.Writer) int {
 		baseline   = fs.String("baseline", "", "baseline slo.json (missing file = pass with notice)")
 		result     = fs.String("result", "slo.json", "where to write this run's latency summary")
 		rows       = fs.Int("rows", 4000, "smoke dataset size (2-D dot distribution)")
-		shards     = fs.Int("shards", 4, "map-reduce shard count for the solves")
 		coldN      = fs.Int("cold", 40, "cold requests (distinct k per request, every one a full solve)")
 		warmN      = fs.Int("warm", 400, "warm requests (one primed key, every one a cache hit)")
 		coldBudget = fs.Duration("cold-budget", 2*time.Second, "absolute p99 budget for cold solves")
@@ -73,7 +73,7 @@ func run(args []string, out io.Writer) int {
 		return 2
 	}
 
-	cur, err := measure(*rows, *shards, *coldN, *warmN, *inject)
+	cur, err := measure(*rows, *coldN, *warmN, *inject)
 	if err != nil {
 		fmt.Fprintln(out, "slogate:", err)
 		return 2
@@ -108,14 +108,11 @@ func run(args []string, out io.Writer) int {
 }
 
 // measure drives the request mixes through an in-process server — the
-// real handler stack (mux, tracing, cache, solver), no network, so the
-// number measured is the daemon's own latency, not the loopback's.
-func measure(rows, shards, coldN, warmN int, inject time.Duration) (*sloResult, error) {
-	cfg := service.Config{Seed: 1, Shards: shards}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	svc := service.New(cfg)
+// real handler stack (mux, tracing, cache, solver) in rrrd's default
+// configuration, no network, so the number measured is the daemon's own
+// latency, not the loopback's.
+func measure(rows, coldN, warmN int, inject time.Duration) (*sloResult, error) {
+	svc := service.New(service.Config{Seed: 1})
 	if _, err := svc.Registry().Generate("smoke", "dot", rows, 2, 1); err != nil {
 		return nil, err
 	}
@@ -136,8 +133,8 @@ func measure(rows, shards, coldN, warmN int, inject time.Duration) (*sloResult, 
 		return elapsed, nil
 	}
 
-	// Cold mix: every request a distinct k, so every one runs the full
-	// sharded solve. k starts at 2 — k=1 answers trivially.
+	// Cold mix: every request a distinct k, so every one runs a full
+	// solve. k starts at 2 — k=1 answers trivially.
 	cold := make([]time.Duration, 0, coldN)
 	for i := 0; i < coldN; i++ {
 		d, err := do(2 + i)
@@ -159,10 +156,9 @@ func measure(rows, shards, coldN, warmN int, inject time.Duration) (*sloResult, 
 	}
 
 	return &sloResult{
-		N:      rows,
-		Shards: shards,
-		Cold:   summarize(cold),
-		Warm:   summarize(warm),
+		N:    rows,
+		Cold: summarize(cold),
+		Warm: summarize(warm),
 	}, nil
 }
 

@@ -13,7 +13,7 @@ import (
 // under test is identical at any scale.
 func smokeArgs(dir string, extra ...string) []string {
 	args := []string{
-		"-rows", "500", "-shards", "2", "-cold", "5", "-warm", "20",
+		"-rows", "500", "-cold", "5", "-warm", "20",
 		"-result", filepath.Join(dir, "slo.json"),
 		"-baseline", filepath.Join(dir, "baseline.json"),
 	}
@@ -128,5 +128,23 @@ func TestCorruptBaselineIsAnError(t *testing.T) {
 	var out strings.Builder
 	if code := run(smokeArgs(dir), &out); code != 2 {
 		t.Fatalf("exit %d, want 2\n%s", code, out.String())
+	}
+}
+
+// TestOldBaselineShardsFieldIgnored: baselines written while slogate
+// still measured a sharded solve carry a "shards" field; they must keep
+// parsing so the first run after the change gates against them.
+func TestOldBaselineShardsFieldIgnored(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	old := `{"dataset_rows": 4000, "shards": 4, "cold": {"requests": 40, "p99_ns": 13000000}, "warm": {"requests": 400, "p99_ns": 5000}}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, err := readBaseline(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.N != 4000 || base.Cold.P99NS != 13000000 || base.Warm.P99NS != 5000 {
+		t.Fatalf("baseline parsed as %+v", base)
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"rrr/internal/core"
 	"rrr/internal/delta"
-	"rrr/internal/shard"
 )
 
 // WithDeltaMaintenance enables incremental revalidation of solve results
@@ -119,7 +118,9 @@ type Revalidation struct {
 // returns a result valid for the mutated dataset, doing the least work the
 // containment tests allow: nothing when no inserted tuple can enter any
 // top-k and no deleted tuple was in the pool, a pool-sized reduce re-run
-// when only inserts crossed, and a full Solve otherwise. On the
+// when only inserts crossed, and a full solve otherwise. Every verdict
+// runs prev's algorithm, whatever this Solver is configured with, so the
+// result's Algorithm always equals prev's. On the
 // deterministic paths (2DRRR, MDRC) the returned IDs are bit-for-bit what
 // a fresh solve on d.After produces; for sampled MDRRR the repaired result
 // carries the same probabilistic guarantee as a fresh solve.
@@ -168,7 +169,7 @@ func (s *Solver) RevalidateInto(ctx context.Context, d Delta, prev *Result, out 
 			var err error
 			pool, err = delta.BuildPool(ctx, d.Before, prev.K)
 			if err != nil {
-				return s.wrapShardError(algorithm, start, shard.Stats{}, err)
+				return s.wrapSolveError(algorithm, start, err)
 			}
 		}
 		class, patched = pool.Classify(&delta.Change{
@@ -199,8 +200,8 @@ func (s *Solver) RevalidateInto(ctx context.Context, d Delta, prev *Result, out 
 		out.Class, out.Result, out.PoolSize = DeltaRepaired, res, patched.Len()
 		return nil
 	default:
-		res, err := s.Solve(ctx, d.After, prev.K)
-		if err != nil {
+		res := new(Result)
+		if err := s.solveInto(ctx, d.After, prev.K, algorithm, res); err != nil {
 			return err
 		}
 		out.Class, out.Result, out.PoolSize = DeltaRecomputed, res, 0
@@ -231,11 +232,9 @@ func (s *Solver) reduceOnPool(ctx context.Context, after *Dataset, pool *delta.P
 	arena := s.arenas.get()
 	defer s.arenas.put(arena)
 	res := new(Result)
-	if err := s.solveOnInto(ctx, runData, k, algorithm, start, nil, arena, res); err != nil {
+	if err := s.solveOnInto(ctx, runData, k, algorithm, start, arena, res); err != nil {
 		return nil, err
 	}
-	res.K = k
-	res.Candidates = pool.Len()
 	res.revalPool = pool
 	return res, nil
 }

@@ -247,6 +247,67 @@ func TestRevalidateRequirements(t *testing.T) {
 	}
 }
 
+// TestRevalidateKeepsPriorAlgorithm: every verdict answers with the
+// algorithm prev was solved with, even when the revalidating Solver is
+// configured for another one — here an MDRRR result revalidated by an
+// auto Solver, which on its own would run MDRC on 3-D data.
+func TestRevalidateKeepsPriorAlgorithm(t *testing.T) {
+	ctx := context.Background()
+	const k = 10
+	tb, err := rrr.GenerateTable("independent", 150, 3, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := tb.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := rrr.New(rrr.WithAlgorithm(rrr.AlgoMDRRR), rrr.WithSeed(3), rrr.WithDeltaMaintenance()).Solve(ctx, before, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	revalidator := rrr.New(rrr.WithSeed(3), rrr.WithDeltaMaintenance())
+	mins, maxs, err := tb.Bounds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := make([]float64, tb.Dims())
+	for j := range top {
+		top[j] = mins[j] + 0.97*(maxs[j]-mins[j])
+	}
+	appended, _, err := tb.AppendRows([][]float64{top})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deleted, _, err := tb.DeleteRows([]int{prev.IDs[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		after *rrr.Table
+		want  rrr.DeltaClass
+	}{
+		{tb, rrr.DeltaStillExact},
+		{appended, rrr.DeltaRepaired},
+		{deleted, rrr.DeltaRecomputed},
+	} {
+		after, err := tc.after.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rev, err := revalidator.Revalidate(ctx, rrr.DiffDatasets(before, after), prev)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.want, err)
+		}
+		if rev.Class != tc.want {
+			t.Fatalf("class %v, want %v", rev.Class, tc.want)
+		}
+		if rev.Result.Algorithm != prev.Algorithm {
+			t.Fatalf("%v: result algorithm %s, want prev's %s", rev.Class, rev.Result.Algorithm, prev.Algorithm)
+		}
+	}
+}
+
 // serviceBatch mirrors mutator.step at the service layer: it derives one
 // random mutation batch (dominated interior appends, top-corner appends,
 // or a delete of a served representative member) from the entry's current

@@ -33,12 +33,11 @@
 // values, dual MinimalKForSize size budgets — through one shared
 // expensive phase (one angular sweep, one K-SETr sampling stream), with
 // per-item results identical to the equivalent sequential calls.
-// WithShards routes solves through a map-reduce engine that prunes the
-// dataset to an exact candidate pool per shard before the algorithm
-// runs — identical answers on the deterministic paths, measured
-// severalfold faster on the 2-D sweep (DESIGN.md §7). The
-// pre-context entry points (Representative,
-// MinimalKForSize, Options) remain as deprecated wrappers. Raw data
+// WithDeltaMaintenance and Revalidate carry a result across dataset
+// mutations, re-solving only when an exact containment test says the
+// answer may have changed (DESIGN.md §8). The pre-context entry points
+// (Representative, MinimalKForSize, Options) remain as deprecated
+// wrappers. Raw data
 // with mixed "higher is better"/"lower is better" attributes can be loaded
 // and normalized with the Table helpers (DOTLike, BNLike, ReadCSV,
 // Table.Normalize).

@@ -36,17 +36,6 @@ type PartialStats struct {
 	KSets int
 	// Draws is the number of ranking functions K-SETr sampled.
 	Draws int
-	// ShardsDone is the number of shards whose map-phase extraction
-	// completed before the stop (sharded solves only). When the solve
-	// failed in the reduce phase it equals the plan's shard count.
-	ShardsDone int
-	// Candidates is the size of the map phase's candidate pool; zero when
-	// the map phase itself was interrupted.
-	Candidates int
-	// PruneRatio is the fraction of the dataset the completed map phase
-	// eliminated (1 − Candidates/n); zero when the map phase did not
-	// finish.
-	PruneRatio float64
 	// Elapsed is the wall-clock time spent before the stop.
 	Elapsed time.Duration
 	// BestK and Best carry MinimalKForSize's binary-search state: the

@@ -26,19 +26,11 @@ import (
 // MinimalKForSize(-K): the dual's answer is deterministic per (dataset,
 // gen, size, algorithm) exactly like a primal solve, so it caches and
 // coalesces under the same machinery with a disjoint key range.
-//
-// Shards is the shard plan's fingerprint (shard.Plan.Fingerprint) when the
-// service solves through the map-reduce engine, empty otherwise. The
-// deterministic algorithms produce identical results for any plan, but the
-// sampled MDRRR path does not, and work counters differ for all of them —
-// so results computed under different shard configurations never share a
-// slot.
 type Key struct {
 	Dataset string
 	Gen     int64
 	K       int
 	Algo    string
-	Shards  string
 }
 
 // flight is one computation: a detached goroutine running compute over
@@ -123,9 +115,8 @@ type ResultStats struct {
 	// BestK is the achieved k of a dual (negative-K) computation; zero
 	// for primal results.
 	BestK int
-	// Shards and Candidates describe the map-reduce plan a sharded solve
-	// ran through (zero for unsharded computations).
-	Shards     int
+	// Candidates is the containment pool size a delta repair re-solved
+	// on; zero for computations that ran on the whole dataset.
 	Candidates int
 }
 

@@ -253,53 +253,6 @@ func TestMutateGenerationsAreMonotone(t *testing.T) {
 	}
 }
 
-// TestMutateUnderSharding runs the maintenance flow with the serving
-// layer configured for sharded solves: cache keys carry the shard-plan
-// fingerprint, repairs run reduce-only, and the repaired entry must match
-// a fresh sharded solve of the mutated dataset (the deterministic paths
-// are plan-invariant).
-func TestMutateUnderSharding(t *testing.T) {
-	svc := New(Config{Seed: 1, DeltaMaintenance: true, Shards: 2})
-	if _, err := svc.Registry().RegisterCSV("anchored", strings.NewReader(anchoredCSV)); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := svc.Representative(ctx, "anchored", 2, "2drrr"); err != nil {
-		t.Fatal(err)
-	}
-	mut, err := svc.Mutate(ctx, "anchored", delta.Batch{Append: [][]float64{{0.95, 0.97}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mut.Stats.Repaired != 1 {
-		t.Fatalf("stats = %+v, want one repair", mut.Stats)
-	}
-	rep, err := svc.Representative(ctx, "anchored", 2, "2drrr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Cached {
-		t.Fatal("repaired sharded-key entry missed the cache")
-	}
-	oracle := New(Config{Seed: 1, Shards: 2})
-	entry, _ := svc.Registry().Get("anchored")
-	if _, err := oracle.Registry().Register("anchored", entry.Table); err != nil {
-		t.Fatal(err)
-	}
-	want, err := oracle.Representative(ctx, "anchored", 2, "2drrr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.IDs) != len(want.IDs) {
-		t.Fatalf("repaired IDs %v != fresh sharded %v", rep.IDs, want.IDs)
-	}
-	for i := range want.IDs {
-		if rep.IDs[i] != want.IDs[i] {
-			t.Fatalf("repaired IDs %v != fresh sharded %v", rep.IDs, want.IDs)
-		}
-	}
-}
-
 // TestMutateConcurrentWithReads hammers one dataset with mutation batches
 // while readers request representatives — the interleaving the generation
 // machinery exists for. Correctness here is "no race, no panic, every

@@ -35,7 +35,6 @@ func driveEveryCounter(m *Metrics) {
 	m.add(batches, 7)
 	m.add(batchItems, 77)
 	m.add(coalescedJoins, 8)
-	repeat(9, func() { m.shardSolve(12, 13, 100) })
 	m.add(deltaMutations, 10)
 	m.add(deltaMutatedTuples, 140)
 	m.add(deltaRevalidated, 15)

@@ -46,7 +46,7 @@ const statusClientClosedRequest = 499
 //	GET  /v1/regret?dataset=&ids=&samples=      sampled worst-case rank-regret
 //	GET  /v1/watch?dataset=&k=&algo=            SSE live-update stream (rrrd -watch)
 //	GET  /v1/healthz         liveness
-//	GET  /v1/stats           cache + latency + shard counters (JSON)
+//	GET  /v1/stats           cache, latency and subsystem counters (JSON)
 //	GET  /v1/metrics         the same counters in Prometheus text format
 //	                         (?format=openmetrics adds trace exemplars)
 //	GET  /v1/traces?limit=N  recent retained traces, newest first

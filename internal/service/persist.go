@@ -210,21 +210,21 @@ func (s *Service) Recover(ctx context.Context) (*Recovery, error) {
 	s.metrics.add(replayedBatches, rec.ReplayedBatches)
 
 	// The warm cache is an optimization, never a source of truth: an
-	// unreadable file costs recomputation, and entries are readmitted only
-	// when their (dataset, generation, shard plan) still matches what this
-	// process serves — anything else would hand out answers computed
-	// against other data or another configuration.
+	// unreadable file — including one in an older format — costs
+	// recomputation, and entries are readmitted only when their (dataset,
+	// generation) still matches what this process serves — anything else
+	// would hand out answers computed against other data.
 	entries, err := s.store.ReadCache()
 	if err != nil {
 		entries = nil
 	}
 	for _, ce := range entries {
 		e, err := s.registry.Get(ce.Dataset)
-		if err != nil || e.Gen != ce.Gen || ce.Shards != s.shardKey {
+		if err != nil || e.Gen != ce.Gen {
 			continue
 		}
-		key := Key{Dataset: ce.Dataset, Gen: ce.Gen, K: ce.K, Algo: ce.Algo, Shards: ce.Shards}
-		stats := ResultStats{KSets: ce.KSets, Nodes: ce.Nodes, BestK: ce.BestK, Shards: ce.ShardsDone, Candidates: ce.Candidates}
+		key := Key{Dataset: ce.Dataset, Gen: ce.Gen, K: ce.K, Algo: ce.Algo}
+		stats := ResultStats{KSets: ce.KSets, Nodes: ce.Nodes, BestK: ce.BestK, Candidates: ce.Candidates}
 		if s.cache.Put(key, ce.IDs, stats, ce.Elapsed) {
 			rec.WarmedAnswers++
 		}
@@ -262,12 +262,10 @@ func (s *Service) Persist() error {
 			Gen:        ce.Key.Gen,
 			K:          ce.Key.K,
 			Algo:       ce.Key.Algo,
-			Shards:     ce.Key.Shards,
 			IDs:        ce.Result.IDs,
 			KSets:      ce.Result.Stats.KSets,
 			Nodes:      ce.Result.Stats.Nodes,
 			BestK:      ce.Result.Stats.BestK,
-			ShardsDone: ce.Result.Stats.Shards,
 			Candidates: ce.Result.Stats.Candidates,
 			Elapsed:    ce.Result.Elapsed,
 		})

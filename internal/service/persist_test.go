@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -203,6 +205,46 @@ func TestWarmCacheRejectsStaleGeneration(t *testing.T) {
 	}
 	if _, err := svc2.Representative(context.Background(), "anchored", 2, ""); err != nil {
 		t.Fatal(err)
+	}
+	if misses := svc2.Metrics().Snapshot().CacheMisses; misses != 1 {
+		t.Fatalf("cache misses = %d, want a fresh compute", misses)
+	}
+}
+
+// TestWarmCacheRejectsVersion1File: a warm-cache file in the format
+// before version 2 dropped the shard fields (../wal/testdata/cache_v1.bin:
+// one unsharded and one sharded answer for anchored at generation 1, k=2)
+// must be discarded, not misread — sharded MDRRR answers can differ from
+// unsharded ones. The service boots normally and computes afresh.
+func TestWarmCacheRejectsVersion1File(t *testing.T) {
+	dir := t.TempDir()
+	svc, st := newPersistedService(t, dir)
+	if _, err := svc.Registry().RegisterCSV("anchored", strings.NewReader(anchoredCSV)); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Persist(); err != nil { // snapshot at generation 1
+		t.Fatal(err)
+	}
+	st.Close()
+	v1, err := os.ReadFile(filepath.Join("..", "wal", "testdata", "cache_v1.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "cache.bin"), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	svc2, st2 := newPersistedService(t, dir)
+	defer st2.Close()
+	if warmed := svc2.Metrics().Snapshot().Persist.WarmedAnswers; warmed != 0 {
+		t.Fatalf("%d answers readmitted from a version-1 cache file", warmed)
+	}
+	rep, err := svc2.Representative(context.Background(), "anchored", 2, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Cached {
+		t.Fatal("answer served from the version-1 cache file")
 	}
 	if misses := svc2.Metrics().Snapshot().CacheMisses; misses != 1 {
 		t.Fatalf("cache misses = %d, want a fresh compute", misses)

@@ -239,10 +239,6 @@ var statsToProm = map[string]string{
 	"batches":                        "rrrd_batches_total",
 	"batch_items":                    "rrrd_batch_items_total",
 	"coalesced_joins":                "rrrd_coalesced_joins_total",
-	"shard.sharded_solves":           "rrrd_sharded_solves_total",
-	"shard.shards_done":              "rrrd_shards_done_total",
-	"shard.candidates":               "rrrd_shard_candidates_total",
-	"shard.input_tuples":             "rrrd_shard_input_tuples_total",
 	"delta.mutations":                "rrrd_delta_mutations_total",
 	"delta.mutated_tuples":           "rrrd_delta_mutated_tuples_total",
 	"delta.revalidated":              "rrrd_delta_revalidated_total",
@@ -274,8 +270,7 @@ var statsToProm = map[string]string{
 // statsDerived are /v1/stats leaves with no Prometheus family of their
 // own because a scraper derives them: documented exemptions, not drift.
 var statsDerived = map[string]string{
-	"computations":      "sum(rrrd_solve_duration_seconds_count) across algorithms",
-	"shard.prune_ratio": "1 - rrrd_shard_candidates_total / rrrd_shard_input_tuples_total",
+	"computations": "sum(rrrd_solve_duration_seconds_count) across algorithms",
 }
 
 // opaqueStatsKeys are Snapshot maps keyed by dynamic names (algorithm,
@@ -379,7 +374,6 @@ func TestPrometheusExpositionMatchesStats(t *testing.T) {
 	stable := []string{
 		"cache_hits", "cache_misses", "in_flight", "failures", "canceled",
 		"batches", "batch_items", "coalesced_joins",
-		"shard.sharded_solves", "shard.shards_done", "shard.candidates", "shard.input_tuples",
 		"delta.mutations", "delta.mutated_tuples", "delta.revalidated", "delta.repaired", "delta.recomputed",
 		"persist.wal_appends", "persist.wal_bytes", "persist.replayed_batches", "persist.warmed_answers",
 		"watch.subscribers", "watch.events", "watch.dropped", "watch.resumes",

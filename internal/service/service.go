@@ -30,7 +30,6 @@ import (
 	"rrr"
 	"rrr/internal/core"
 	"rrr/internal/delta"
-	"rrr/internal/shard"
 	"rrr/internal/trace"
 	"rrr/internal/wal"
 	"rrr/internal/watch"
@@ -61,13 +60,6 @@ type Config struct {
 	// MaxConcurrentSolves bounds simultaneously running computations
 	// (<= 0 defaults to GOMAXPROCS).
 	MaxConcurrentSolves int
-	// Shards routes every solve through the map-reduce engine with this
-	// many contiguous shards (<= 1 = unsharded). The shard plan's
-	// fingerprint becomes part of every cache key, so changing the
-	// configuration can never serve results computed under another plan.
-	Shards int
-	// ShardWorkers bounds the map phase's worker pool (<= 0 = GOMAXPROCS).
-	ShardWorkers int
 	// DeltaMaintenance attaches a mutation log to every registered
 	// dataset and enables Mutate (and the daemon's append/delete
 	// endpoints): mutation batches advance datasets generation by
@@ -92,17 +84,10 @@ type Config struct {
 	WatchMaxSubscribers int
 }
 
-// Validate checks the parallelism knobs against the library's shared rule
-// (rrr.ValidateWorkers): zero stays "auto" (unsharded / GOMAXPROCS),
-// negatives are configuration errors. The daemon calls it before New so a
-// bad flag fails startup with the knob named; embedders that construct a
-// Config by hand get the same single source of truth.
+// Validate checks the parallelism knob the Config owns: zero stays "auto"
+// (GOMAXPROCS), negatives are configuration errors. The daemon calls it
+// before New so a bad flag fails startup with the knob named.
 func (c Config) Validate() error {
-	// Batch workers reach the service through SolverOptions, not a Config
-	// field, so only the two knobs the Config owns are checked here.
-	if err := rrr.ValidateWorkers(c.Shards, c.ShardWorkers, 0); err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
 	if c.MaxConcurrentSolves < 0 {
 		return fmt.Errorf("service: max concurrent solves must be positive or 0 (auto: GOMAXPROCS), got %d", c.MaxConcurrentSolves)
 	}
@@ -117,9 +102,6 @@ type Service struct {
 	cache    *Cache
 	metrics  *Metrics
 	cfg      Config
-	// shardKey is the fingerprint of the configured shard plan, empty when
-	// unsharded; every cache key carries it.
-	shardKey string
 	// store is the durability layer (persist.go); nil for a memory-only
 	// service, the historical behavior.
 	store *wal.Store
@@ -147,9 +129,6 @@ func New(cfg Config) *Service {
 		metrics:  m,
 		cfg:      cfg,
 	}
-	if cfg.Shards > 1 {
-		s.shardKey = shard.Fingerprint(shard.Contiguous, cfg.Shards)
-	}
 	if cfg.DeltaMaintenance {
 		s.registry.EnableDeltaMaintenance()
 		s.maintainers = make(map[string]*delta.Maintainer)
@@ -166,14 +145,10 @@ func New(cfg Config) *Service {
 }
 
 // solver builds the per-request Solver: the service-wide base options,
-// then the seed, the shard configuration, and the request's resolved
-// algorithm (last wins on conflicts, so a request can never un-pin its
-// algorithm).
+// then the seed and the request's resolved algorithm (last wins on
+// conflicts, so a request can never un-pin its algorithm).
 func (s *Service) solver(algorithm rrr.Algorithm) *rrr.Solver {
 	opts := slices.Clone(s.cfg.SolverOptions)
-	if s.cfg.Shards > 1 {
-		opts = append(opts, rrr.WithShards(s.cfg.Shards), rrr.WithShardWorkers(s.cfg.ShardWorkers))
-	}
 	opts = append(opts, rrr.WithSeed(s.cfg.Seed), rrr.WithAlgorithm(algorithm))
 	return rrr.New(opts...)
 }
@@ -375,13 +350,8 @@ func (s *Service) repair(ctx context.Context, cur *Entry, key Key, pool *delta.P
 		}
 		runData = reduced
 	}
-	// The reduce runs unsharded regardless of the serving configuration:
-	// the pool is already the pruned input a sharded solve would reduce
-	// over.
-	opts := slices.Clone(s.cfg.SolverOptions)
-	opts = append(opts, rrr.WithSeed(s.cfg.Seed), rrr.WithAlgorithm(rrr.Algorithm(key.Algo)))
 	start := time.Now()
-	res, err := rrr.New(opts...).Solve(ctx, runData, key.K)
+	res, err := s.solver(rrr.Algorithm(key.Algo)).Solve(ctx, runData, key.K)
 	if err != nil {
 		return false
 	}
@@ -466,7 +436,7 @@ func (s *Service) RepresentativeInto(ctx context.Context, name string, k int, al
 
 // key maps a representative query onto the cache's key space.
 func (s *Service) key(entry *Entry, k int, algo rrr.Algorithm) Key {
-	return Key{Dataset: entry.Name, Gen: entry.Gen, K: k, Algo: string(algo), Shards: s.shardKey}
+	return Key{Dataset: entry.Name, Gen: entry.Gen, K: k, Algo: string(algo)}
 }
 
 // solveEntry serves (computing on first demand) the representative of the
@@ -486,8 +456,7 @@ func (s *Service) solveEntry(ctx context.Context, entry *Entry, k int, algo rrr.
 		if err != nil {
 			return nil, ResultStats{}, fmt.Errorf("service: %s on %q (k=%d): %w", algo, entry.Name, k, err)
 		}
-		s.metrics.shardSolve(res.Shards, res.Candidates, entry.Data.N())
-		return res.IDs, ResultStats{KSets: res.KSets, Nodes: res.Nodes, Shards: res.Shards, Candidates: res.Candidates}, nil
+		return res.IDs, ResultStats{KSets: res.KSets, Nodes: res.Nodes}, nil
 	})
 }
 
@@ -504,13 +473,12 @@ type BatchQuery struct {
 }
 
 // key maps a query onto the cache's key space: primal queries use K
-// directly, dual queries use the negative size (see Key). shards is the
-// service's shard plan fingerprint.
-func (q BatchQuery) key(name string, gen int64, algo rrr.Algorithm, shards string) Key {
+// directly, dual queries use the negative size (see Key).
+func (q BatchQuery) key(name string, gen int64, algo rrr.Algorithm) Key {
 	if q.K > 0 {
-		return Key{Dataset: name, Gen: gen, K: q.K, Algo: string(algo), Shards: shards}
+		return Key{Dataset: name, Gen: gen, K: q.K, Algo: string(algo)}
 	}
-	return Key{Dataset: name, Gen: gen, K: -q.Size, Algo: string(algo), Shards: shards}
+	return Key{Dataset: name, Gen: gen, K: -q.Size, Algo: string(algo)}
 }
 
 // keyLabel renders a key's query for error messages: "k=10" for primal
@@ -591,7 +559,7 @@ func (s *Service) Batch(ctx context.Context, name string, algoName string, queri
 			items[i].Err = err
 			continue
 		}
-		key := q.key(name, entry.Gen, algo, s.shardKey)
+		key := q.key(name, entry.Gen, algo)
 		if _, dup := queryByKey[key]; !dup {
 			queryByKey[key] = q
 			keys = append(keys, key)
@@ -617,7 +585,6 @@ func (s *Service) Batch(ctx context.Context, name string, algoName string, queri
 			}
 			return
 		}
-		s.metrics.shardSolve(br.Stats.Shards, br.Stats.Candidates, data.N())
 		for i, item := range br.Items {
 			key := owned[i]
 			if item.Err != nil {
@@ -625,8 +592,7 @@ func (s *Service) Batch(ctx context.Context, name string, algoName string, queri
 					algo, name, keyLabel(key), item.Err))
 				continue
 			}
-			stats := ResultStats{KSets: item.Result.KSets, Nodes: item.Result.Nodes,
-				Shards: item.Result.Shards, Candidates: item.Result.Candidates}
+			stats := ResultStats{KSets: item.Result.KSets, Nodes: item.Result.Nodes}
 			if item.Request.Size > 0 {
 				stats.BestK = item.K
 			}
@@ -637,7 +603,7 @@ func (s *Service) Batch(ctx context.Context, name string, algoName string, queri
 		if items[i].Err != nil {
 			continue
 		}
-		key := items[i].Query.key(name, entry.Gen, algo, s.shardKey)
+		key := items[i].Query.key(name, entry.Gen, algo)
 		if err, failed := errs[key]; failed {
 			items[i].Err = err
 			continue

@@ -26,8 +26,7 @@ var latencyBuckets = []time.Duration{
 }
 
 // phaseBuckets bound the per-phase histograms. Phases run finer than whole
-// solves — a plan span is nanoseconds, a shard map tens of milliseconds —
-// so the grid reaches two decades lower than latencyBuckets.
+// solves, so the grid reaches two decades lower than latencyBuckets.
 var phaseBuckets = []time.Duration{
 	100 * time.Microsecond,
 	time.Millisecond,
@@ -118,10 +117,6 @@ const (
 	batches
 	batchItems
 	coalescedJoins
-	shardedSolves
-	shardsDone
-	shardCandidates
-	shardInputTuples
 	deltaMutations
 	deltaMutatedTuples
 	deltaRevalidated
@@ -172,14 +167,6 @@ var counterTable = [numCounters]counterDesc{
 		func(s *Snapshot) *int64 { return &s.BatchItems }},
 	coalescedJoins: {"rrrd_coalesced_joins_total", "counter", "Requests that joined a key an in-flight batch claimed.",
 		func(s *Snapshot) *int64 { return &s.CoalescedJoins }},
-	shardedSolves: {"rrrd_sharded_solves_total", "counter", "Computations routed through the map-reduce shard engine.",
-		func(s *Snapshot) *int64 { return &s.Shard.ShardedSolves }},
-	shardsDone: {"rrrd_shards_done_total", "counter", "Shards whose map-phase extraction completed.",
-		func(s *Snapshot) *int64 { return &s.Shard.ShardsDone }},
-	shardCandidates: {"rrrd_shard_candidates_total", "counter", "Candidate tuples the map phases kept.",
-		func(s *Snapshot) *int64 { return &s.Shard.Candidates }},
-	shardInputTuples: {"rrrd_shard_input_tuples_total", "counter", "Tuples the map phases saw before pruning.",
-		func(s *Snapshot) *int64 { return &s.Shard.InputTuples }},
 	deltaMutations: {"rrrd_delta_mutations_total", "counter", "Mutation batches applied to registered datasets.",
 		func(s *Snapshot) *int64 { return &s.Delta.Mutations }},
 	deltaMutatedTuples: {"rrrd_delta_mutated_tuples_total", "counter", "Tuples appended or deleted by mutation batches.",
@@ -322,19 +309,6 @@ func (m *Metrics) failed(err error) {
 	}
 }
 
-// shardSolve records one computation that went through the map-reduce
-// engine: how many shards its plan held and how far the map phase pruned.
-// No-op for unsharded results (shards == 0), so call sites don't branch.
-func (m *Metrics) shardSolve(shards, candidates, input int) {
-	if shards <= 0 {
-		return
-	}
-	m.add(shardedSolves, 1)
-	m.add(shardsDone, shards)
-	m.add(shardCandidates, candidates)
-	m.add(shardInputTuples, input)
-}
-
 // The four methods below implement watch.Counters, making *Metrics the
 // hub's telemetry sink directly — no adapter layer to drift out of sync.
 
@@ -389,19 +363,6 @@ func (m *Metrics) snapshotAge() float64 {
 		return -1
 	}
 	return time.Since(time.Unix(0, ns)).Seconds()
-}
-
-// ShardSnapshot summarizes the map-reduce engine's activity: how many
-// computations were sharded, the total shards their plans held, and the
-// aggregate pruning power of the map phases (candidate tuples kept vs
-// input tuples seen).
-type ShardSnapshot struct {
-	ShardedSolves int64 `json:"sharded_solves"`
-	ShardsDone    int64 `json:"shards_done"`
-	Candidates    int64 `json:"candidates"`
-	InputTuples   int64 `json:"input_tuples"`
-	// PruneRatio is 1 − Candidates/InputTuples across all sharded solves.
-	PruneRatio float64 `json:"prune_ratio"`
 }
 
 // DeltaSnapshot summarizes the delta engine's activity: mutation batches
@@ -486,7 +447,6 @@ type Snapshot struct {
 	Batches        int64                        `json:"batches"`
 	BatchItems     int64                        `json:"batch_items"`
 	CoalescedJoins int64                        `json:"coalesced_joins"`
-	Shard          ShardSnapshot                `json:"shard"`
 	Delta          DeltaSnapshot                `json:"delta"`
 	Persist        PersistSnapshot              `json:"persist"`
 	Watch          WatchSnapshot                `json:"watch"`
@@ -513,9 +473,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		*counterTable[c].leaf(&s) = m.counters[c].Load()
 	}
 	s.Persist.SnapshotAgeSeconds = m.snapshotAge()
-	if s.Shard.InputTuples > 0 {
-		s.Shard.PruneRatio = 1 - float64(s.Shard.Candidates)/float64(s.Shard.InputTuples)
-	}
 	for _, e := range m.sortedHistograms(m.latencies) {
 		snap := e.h.snapshot()
 		s.Computations += snap.Count

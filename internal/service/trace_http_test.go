@@ -16,12 +16,12 @@ import (
 
 const testTraceparent = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 
-// TestTracedShardedSolve is the tracing acceptance test: a sharded solve
-// driven with a W3C traceparent header must yield a retrievable trace
-// with one span per shard map task plus the plan/reduce/cache spans, all
-// nested under the root and with durations that sum consistently.
-func TestTracedShardedSolve(t *testing.T) {
-	svc := New(Config{Seed: 1, Shards: 4})
+// TestTracedSolve is the tracing acceptance test: a solve driven with a
+// W3C traceparent header must yield a retrievable trace whose solver and
+// cache spans nest under the root, inside the root's time window, and
+// feed the phase histograms.
+func TestTracedSolve(t *testing.T) {
+	svc := New(Config{Seed: 1})
 	if _, err := svc.Registry().Generate("flights", "dot", 400, 2, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +65,8 @@ func TestTracedShardedSolve(t *testing.T) {
 	}
 
 	byName := map[string][]traceSpanBody{}
-	byID := map[int]traceSpanBody{}
 	for _, sp := range body.SpanList {
 		byName[sp.Name] = append(byName[sp.Name], sp)
-		byID[sp.ID] = sp
 		if sp.Open {
 			t.Errorf("span %s[%d] still open in a finished trace", sp.Name, sp.ID)
 		}
@@ -81,30 +79,8 @@ func TestTracedShardedSolve(t *testing.T) {
 		t.Fatalf("root has parent %d", root.Parent)
 	}
 
-	// One span per shard map task, each under the map span.
-	shards := byName["map_shard"]
-	if len(shards) != 4 {
-		t.Fatalf("got %d map_shard spans, want 4 (one per shard): %s", len(shards), body.Tree)
-	}
-	seen := map[int]bool{}
-	mapSpans := byName["map"]
-	if len(mapSpans) != 1 {
-		t.Fatalf("got %d map spans, want 1", len(mapSpans))
-	}
-	for _, sp := range shards {
-		if sp.Parent != mapSpans[0].ID {
-			t.Errorf("map_shard[%d] parented to span %d, not the map span %d", sp.Shard, sp.Parent, mapSpans[0].ID)
-		}
-		seen[sp.Shard] = true
-	}
-	for i := 0; i < 4; i++ {
-		if !seen[i] {
-			t.Errorf("no map_shard span for shard %d", i)
-		}
-	}
-
-	// Plan, reduce and cache_wait, exactly once each.
-	for _, name := range []string{"plan", "reduce", "cache_wait"} {
+	// The solver's sweep and the cache wait, exactly once each.
+	for _, name := range []string{"sweep", "cache_wait"} {
 		if n := len(byName[name]); n != 1 {
 			t.Fatalf("got %d %q spans, want 1:\n%s", n, name, body.Tree)
 		}
@@ -112,17 +88,13 @@ func TestTracedShardedSolve(t *testing.T) {
 	if byName["cache_wait"][0].Parent != root.ID {
 		t.Errorf("cache_wait not under the root")
 	}
-	// The solver spans run on the detached compute context, parented at
+	// The solver span runs on the detached compute context, parented at
 	// the span the request carried when the flight was created — the root.
-	for _, name := range []string{"plan", "map", "reduce"} {
-		if p := byName[name][0].Parent; p != root.ID {
-			t.Errorf("%s parented to span %d, want the root", name, p)
-		}
+	if p := byName["sweep"][0].Parent; p != root.ID {
+		t.Errorf("sweep parented to span %d, want the root", p)
 	}
 
-	// Duration consistency: every child fits inside the root's window, and
-	// the solve phases (sequential by construction) sum to no more than
-	// the root.
+	// Every child fits inside the root's window.
 	rootEnd := root.StartUS + root.DurationUS
 	for _, sp := range body.SpanList[1:] {
 		if sp.StartUS < root.StartUS-1 || sp.StartUS+sp.DurationUS > rootEnd+1 {
@@ -130,31 +102,13 @@ func TestTracedShardedSolve(t *testing.T) {
 				sp.Name, sp.StartUS, sp.StartUS+sp.DurationUS, root.StartUS, rootEnd)
 		}
 	}
-	sequential := byName["plan"][0].DurationUS + byName["map"][0].DurationUS + byName["reduce"][0].DurationUS
-	if sequential > root.DurationUS+1 {
-		t.Errorf("plan+map+reduce = %fus exceeds the root's %fus", sequential, root.DurationUS)
-	}
-	// And the shard spans each fit inside the map span.
-	mapEnd := mapSpans[0].StartUS + mapSpans[0].DurationUS
-	for _, sp := range shards {
-		if sp.StartUS < mapSpans[0].StartUS-1 || sp.StartUS+sp.DurationUS > mapEnd+1 {
-			t.Errorf("map_shard[%d] escapes the map window", sp.Shard)
-		}
-	}
-
-	if !strings.Contains(body.Tree, "map_shard[2]") {
-		t.Errorf("rendered tree missing shard spans:\n%s", body.Tree)
-	}
 
 	// The same instrumentation fed the phase histograms.
 	snap := svc.Metrics().Snapshot()
-	for _, phase := range []string{"request", "plan", "map_shard", "reduce", "cache_wait"} {
+	for _, phase := range []string{"request", "sweep", "cache_wait"} {
 		if snap.Phases[phase].Count == 0 {
 			t.Errorf("phase histogram %q empty; phases: %v", phase, snap.Phases)
 		}
-	}
-	if snap.Phases["map_shard"].Count != 4 {
-		t.Errorf("map_shard phase observed %d times, want 4", snap.Phases["map_shard"].Count)
 	}
 }
 

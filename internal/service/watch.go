@@ -98,7 +98,7 @@ func (s *Service) publishWatch(cur *Entry, ch *delta.Change, classes map[Key]del
 		return
 	}
 	for _, t := range s.hub.Topics(cur.Name) {
-		key := Key{Dataset: cur.Name, Gen: ch.Gen, K: t.K, Algo: t.Algo, Shards: s.shardKey}
+		key := Key{Dataset: cur.Name, Gen: ch.Gen, K: t.K, Algo: t.Algo}
 		class, classified := classes[key]
 		switch {
 		case classified && class == delta.StillExact:

@@ -9,14 +9,12 @@ import (
 	"sync"
 
 	"rrr/internal/core"
-	"rrr/internal/kset"
 	"rrr/internal/sweep"
 	"rrr/internal/trace"
 )
 
-// Extractor selects the per-shard candidate rule of the map phase. See the
-// package comment for why each rule's union across shards is a valid
-// candidate pool for its algorithm.
+// Extractor selects the per-shard candidate rule. See the package comment
+// for why each rule's union across shards is an exact candidate pool.
 type Extractor int
 
 const (
@@ -24,52 +22,32 @@ const (
 	// tuples owning a range — exactly those that ever enter the shard's
 	// top-k. Minimal and exact; 2-D only.
 	TopKRanges Extractor = iota
-	// KSetSample runs kset.Sample on each shard and keeps the union of
-	// sampled k-set members. Probabilistically complete, like the MDRRR
-	// algorithm it feeds.
-	KSetSample
 	// Dominance keeps the tuples outranked by fewer than k shard tuples
 	// under every linear function (componentwise comparison plus the
-	// library's ID tie-break). Exact for any dimensionality; the MDRC
-	// extractor.
+	// library's ID tie-break). Exact for any dimensionality.
 	Dominance
 )
 
-// Options configures the map phase.
+// Options configures an extraction.
 type Options struct {
-	// Workers bounds the map-phase worker pool (shards are processed
-	// concurrently). <= 0 means GOMAXPROCS.
+	// Workers bounds the worker pool (shards are processed concurrently).
+	// <= 0 means GOMAXPROCS.
 	Workers int
-	// Sampler configures the per-shard kset.Sample runs of the KSetSample
-	// extractor. Each shard's sampler is reseeded deterministically from
-	// Sampler.Seed and the shard index, so shards draw independent
-	// function streams while the whole map phase stays reproducible.
-	Sampler kset.SampleOptions
-	// OnShardDone, if non-nil, is invoked after each shard's extraction
-	// with the number of shards completed so far and the plan's total. It
-	// may be called from map workers concurrently with other shards'
-	// extraction but never concurrently with itself.
-	OnShardDone func(done, total int)
 }
 
-// Stats describes one map phase.
+// Stats describes one extraction.
 type Stats struct {
 	// ShardsDone is the number of shards whose extraction completed. On
 	// success it equals the plan's P; on interruption it reports progress.
 	ShardsDone int
-	// Candidates is the size of the candidate pool (0 until the phase
-	// completes).
+	// Candidates is the size of the candidate pool (0 until the
+	// extraction completes).
 	Candidates int
 	// Input is the size of the full dataset.
 	Input int
-	// Draws is the total number of ranking functions the KSetSample
-	// extractor drew across all shards — including shards that failed
-	// mid-sampling — so callers can account the map phase's sampling work
-	// alongside the reduce phase's. Zero for the other extractors.
-	Draws int
 }
 
-// PruneRatio is the fraction of the dataset the map phase eliminated:
+// PruneRatio is the fraction of the dataset the extraction eliminated:
 // 1 − Candidates/Input. Zero when nothing was pruned (or nothing ran).
 func (s Stats) PruneRatio() float64 {
 	if s.Input == 0 || s.Candidates == 0 {
@@ -83,17 +61,15 @@ func (s Stats) PruneRatio() float64 {
 // is both cheap and frequent.
 const cancelCheckInterval = 64
 
-// Candidates runs the map phase: every shard's extractor on a worker pool,
-// unioned into a sorted candidate ID pool. The pool provably (TopKRanges,
-// Dominance) or probabilistically (KSetSample) contains every tuple that is
-// in the top-k of the *full* dataset under any linear function, so solving
-// on the pool reproduces the unsharded answer — the reduce phase.
+// Candidates runs every shard's extractor on a worker pool and unions the
+// results into a sorted candidate ID pool. The pool provably contains
+// every tuple that is in the top-k of the *full* dataset under any linear
+// function, so solving on the pool reproduces the full dataset's answer.
 //
 // k is the global rank target; shards smaller than k contribute all their
 // tuples (every tuple of an n-tuple dataset is in its top-n). The context
-// is checked inside every extractor; on cancellation (or a sampler's hard
-// draw budget) Candidates returns the error with Stats reporting how many
-// shards finished.
+// is checked inside every extractor; on cancellation Candidates returns
+// the error with Stats reporting how many shards finished.
 func Candidates(ctx context.Context, pl *Plan, k int, ex Extractor, opt Options) ([]int, Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -106,41 +82,26 @@ func Candidates(ctx context.Context, pl *Plan, k int, ex Extractor, opt Options)
 	}
 	stats := Stats{Input: pl.N()}
 	perShard := make([][]int, pl.P())
-	draws := make([]int, pl.P())
 	errs := make([]error, pl.P())
-	// One shard failing dooms the whole phase, so cancel the siblings —
-	// otherwise a shard hitting its draw budget in milliseconds would
-	// still wait for every other shard to run its extraction to the end.
+	// One shard failing dooms the whole extraction, so cancel the siblings
+	// instead of letting them run to the end for nothing.
 	mapCtx, stop := context.WithCancel(ctx)
 	defer stop()
-	// One span per shard map task, parented under the caller's current span
-	// (the "map" phase span). rec is nil on untraced solves, making every
-	// hook below a no-op.
+	// One span per shard task, parented under the caller's current span.
+	// rec is nil on untraced calls, making every hook below a no-op.
 	rec, parent := trace.FromContext(ctx)
-	var (
-		mu   sync.Mutex
-		done int
-	)
 	FanOut(pl.P(), opt.Workers, func(i int) {
 		sid := rec.StartShard("map_shard", parent, i)
-		perShard[i], draws[i], errs[i] = extract(mapCtx, pl.Shard(i), k, i, ex, opt)
+		perShard[i], errs[i] = extract(mapCtx, pl.Shard(i), k, ex)
 		rec.End(sid)
 		if errs[i] != nil {
 			stop()
-			return
 		}
-		// The callback runs under the counter's lock so successive
-		// invocations are serialized, as the Options contract promises.
-		mu.Lock()
-		done++
-		if opt.OnShardDone != nil {
-			opt.OnShardDone(done, pl.P())
-		}
-		mu.Unlock()
 	})
-	stats.ShardsDone = done
-	for _, d := range draws {
-		stats.Draws += d
+	for _, err := range errs {
+		if err == nil {
+			stats.ShardsDone++
+		}
 	}
 	// Error selection: a sibling canceled by our own stop() is a symptom,
 	// not the cause — prefer the error that triggered the stop over
@@ -171,12 +132,12 @@ func Candidates(ctx context.Context, pl *Plan, k int, ex Extractor, opt Options)
 	return pool, stats, nil
 }
 
-// extract runs one shard's extractor, reporting any sampler draws it
-// spent. Shards no larger than k short-circuit to "everything": each of
-// their tuples is trivially in the shard's top-k under every function.
-func extract(ctx context.Context, sd *core.Dataset, k, shardIdx int, ex Extractor, opt Options) ([]int, int, error) {
+// extract runs one shard's extractor. Shards no larger than k
+// short-circuit to "everything": each of their tuples is trivially in the
+// shard's top-k under every function.
+func extract(ctx context.Context, sd *core.Dataset, k int, ex Extractor) ([]int, error) {
 	if sd.N() <= k {
-		return allIDs(sd), 0, nil
+		return allIDs(sd), nil
 	}
 	sc := getMapScratch()
 	defer putMapScratch(sc)
@@ -184,28 +145,17 @@ func extract(ctx context.Context, sd *core.Dataset, k, shardIdx int, ex Extracto
 	case TopKRanges:
 		ranges, err := sweep.FindRangesScratch(ctx, sd, k, &sc.sweep)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		ids := make([]int, 0, len(ranges))
 		for _, r := range ranges {
 			ids = append(ids, r.ID)
 		}
-		return ids, 0, nil
-	case KSetSample:
-		sampler := opt.Sampler
-		sampler.Seed = reseed(sampler.Seed, shardIdx)
-		sampler.OnProgress = nil // per-shard progress would interleave across workers
-		sampler.Scratch = &sc.sampler
-		col, sstats, err := kset.Sample(ctx, sd, k, sampler)
-		if err != nil {
-			return nil, sstats.Draws, err
-		}
-		return col.Universe(), sstats.Draws, nil
+		return ids, nil
 	case Dominance:
-		ids, err := dominanceCandidates(ctx, sd, k, sc)
-		return ids, 0, err
+		return dominanceCandidates(ctx, sd, k, sc)
 	}
-	return nil, 0, fmt.Errorf("shard: unknown extractor %d", ex)
+	return nil, fmt.Errorf("shard: unknown extractor %d", ex)
 }
 
 // dominanceCandidates keeps every tuple outranked by fewer than k shard
@@ -224,7 +174,7 @@ func extract(ctx context.Context, sd *core.Dataset, k, shardIdx int, ex Extracto
 // paper's correlated workloads a dominated tuple meets its k dominators
 // within a few positions, making the filter near-linear in practice; the
 // worst case (anticorrelated data where nothing dominates anything) stays
-// O(n_s²·d) per shard — in parallel across shards.
+// O(n_s²·d) per shard.
 func dominanceCandidates(ctx context.Context, sd *core.Dataset, k int, sc *mapScratch) ([]int, error) {
 	ts := sd.Tuples()
 	n := len(ts)
@@ -297,17 +247,10 @@ func allIDs(sd *core.Dataset) []int {
 	return ids
 }
 
-// reseed derives a per-shard sampler seed: a splitmix64 mix of the base
-// seed and the shard index, so shards explore independent function streams
-// while any (seed, shard) pair stays deterministic.
-func reseed(seed int64, shardIdx int) int64 {
-	return int64(hashID(shardIdx) ^ uint64(seed)*0x9e3779b97f4a7c15)
-}
-
 // FanOut runs work(0..n-1) on a bounded worker pool (workers <= 0 means
-// GOMAXPROCS). The map phase fans shard extraction across it, and the
-// batch engine reuses it for per-query tails — one implementation of the
-// pool, living in the lowest package that needs it.
+// GOMAXPROCS). Candidates fans shard extraction across it, and the batch
+// engine reuses it for per-query tails — one implementation of the pool,
+// living in the lowest package that needs it.
 func FanOut(n, workers int, work func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

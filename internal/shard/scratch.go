@@ -5,29 +5,26 @@ import (
 	"sync"
 
 	"rrr/internal/core"
-	"rrr/internal/kset"
 	"rrr/internal/sweep"
 )
 
-// mapScratch is one map-phase worker's reusable working set: the sweep
-// arena of the TopKRanges extractor, the draw buffers of the KSetSample
-// extractor, and the dominance extractor's sum/order slices. Candidate ID
-// slices — the extractors' outputs — are still allocated fresh because the
-// reduce phase retains them past the scratch's next checkout; only the
-// transient working state is pooled.
+// mapScratch is one extraction worker's reusable working set: the sweep
+// arena of the TopKRanges extractor and the dominance extractor's
+// sum/order slices. Candidate ID slices — the extractors' outputs — are
+// still allocated fresh because callers retain them past the scratch's
+// next checkout; only the transient working state is pooled.
 type mapScratch struct {
-	sweep   sweep.Scratch
-	sampler kset.SampleScratch
-	sums    []float64
-	order   []int
-	sorter  dominanceSorter
+	sweep  sweep.Scratch
+	sums   []float64
+	order  []int
+	sorter dominanceSorter
 }
 
 // mapScratches is an explicit free-list (not a sync.Pool, for the same
 // determinism reasons as the solver's arena pool: the GC may empty a
-// sync.Pool at any time, making the map phase's allocation profile
-// nondeterministic). Workers check scratches out per shard; a phase with W
-// workers warms at most W entries.
+// sync.Pool at any time, making the extraction's allocation profile
+// nondeterministic). Workers check scratches out per shard; an extraction
+// with W workers warms at most W entries.
 var mapScratches struct {
 	mu   sync.Mutex
 	free []*mapScratch

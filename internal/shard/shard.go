@@ -1,97 +1,71 @@
-// Package shard implements the map-reduce solving engine of the RRR
-// reproduction: partition a dataset into P shards, extract per-shard
-// candidate tuples in a parallel map phase, and hand the (much smaller)
-// candidate pool to the existing exact algorithms as the reduce phase.
+// Package shard extracts exact candidate pools: the tuples of a dataset
+// that can ever enter its top-k under some linear ranking function. A
+// dataset is partitioned into P shards (a Plan), each shard's candidates
+// are extracted on a worker pool, and the union is the pool.
 //
-// The engine is *exact*, not approximate, because of the paper's top-k
+// The pool is exact, not approximate, because of the paper's top-k
 // containment property (the structure behind Theorem 1 and the k-set
 // machinery of Lemma 5): a tuple in the global top-k under a linear
 // function f outranks all but at most k−1 tuples of the whole dataset, so
 // within any subset containing it — in particular its own shard — it
 // outranks all but at most k−1 tuples. Therefore
 //
-//	t ∈ topk_D(f)  ⟹  t ∈ topk_S(f)  for t's shard S.
+//	t ∈ topk_D(f)  ⟹  t ∈ topk_S(f)  for t's shard S,
 //
-// A candidate pool C formed as the union over shards of "tuples that can
-// ever enter their shard's top-k" consequently contains every member of
-// every k-set of D, which gives the reduce phase the equivalence it needs:
-// topk_C(f) = topk_D(f) for every linear f (C contains the k best tuples
-// of D under f, and being a subset of D it cannot contain anything
-// better). Every algorithm whose output is a deterministic function of the
-// top-k-by-function structure — the 2-D sweep + cover, and MDRC's corner
-// partitioning — returns bit-for-bit the unsharded answer when run on C.
-//
-// Three extractors produce per-shard candidate sets:
+// and the union C of every shard's "tuples that can ever enter the shard's
+// top-k" contains every member of every k-set of D: topk_C(f) = topk_D(f)
+// for every linear f. Two extractors produce the per-shard sets:
 //
 //   - TopKRanges (2-D): sweep.FindRanges on the shard — its key set is
 //     exactly the tuples that ever enter the shard's top-k, the minimal
 //     correct per-shard pool.
-//   - KSetSample (MDRRR): the union of members of the shard's sampled
-//     k-set collection (kset.Sample). Sampling makes this pool — like
-//     unsharded MDRRR itself — probabilistically rather than provably
-//     complete; the rank-regret guarantee is checked the same way.
-//   - Dominance (MDRC, any d ≥ 2): a tuple outranked by k or more shard
-//     tuples under *every* linear function can never enter the shard's
-//     top-k and is pruned. "u always outranks t" is decided componentwise
-//     (u ≥ t everywhere, and either strictly everywhere or winning the
-//     equal-score ID tie-break), so the filter is exact for the whole
-//     function space, not a sample of it.
+//   - Dominance (any d ≥ 2): a tuple outranked by k or more shard tuples
+//     under *every* linear function can never enter the shard's top-k and
+//     is pruned. "u always outranks t" is decided componentwise
+//     (AlwaysOutranks), so the filter is exact for the whole function
+//     space, not a sample of it.
+//
+// Callers: internal/delta builds its revalidation pools with a one-shard
+// plan and tests inserts with AlwaysOutranks; the batch engine fans its
+// per-query tails out with FanOut; perfbench's ledger times both
+// extractors.
+//
+// Nothing solves on a P-shard pool any more: the kernels now do that
+// pruning themselves (the 2-D sweep runs on the k-skyband, d-D top-k
+// scans stop early), so a sharded solve lost to the plain one on every
+// measured workload (EXPERIMENTS.md §5). The extractors stay because the
+// delta engine's pools need exactly them.
 package shard
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 
 	"rrr/internal/core"
 )
 
 // Strategy selects how a Plan assigns tuples to shards. Candidate
 // correctness is strategy-independent — the containment property holds for
-// any partition — so the choice only affects balance and locality.
+// any partition.
 type Strategy int
 
 const (
 	// Contiguous splits the dataset into P nearly equal index ranges.
-	// Cheapest to build, cache-friendly to scan; the default everywhere.
 	Contiguous Strategy = iota
-	// Hash assigns each tuple by a hash of its ID, decoupling shard
-	// composition from input order (useful when the input is sorted by
-	// some attribute and contiguous shards would be skewed).
-	Hash
-	// Custom marks a Plan built from a caller-provided assignment
-	// (NewCustomPlan) — the seam a distributed placement policy plugs
-	// into.
-	Custom
 )
-
-// String returns the fingerprint prefix of the strategy.
-func (s Strategy) String() string {
-	switch s {
-	case Contiguous:
-		return "contig"
-	case Hash:
-		return "hash"
-	case Custom:
-		return "custom"
-	}
-	return "unknown"
-}
 
 // Plan is a partition of one dataset into P non-empty shards. Shards hold
 // the original tuples (IDs preserved, values shared, not copied), so
 // per-shard results speak the same ID language as the full dataset.
 type Plan struct {
-	source      *core.Dataset
-	strategy    Strategy
-	shards      []*core.Dataset
-	fingerprint string
+	n      int
+	shards []*core.Dataset
 }
 
 // NewPlan partitions d into p shards by the given strategy. p is capped at
 // the dataset size (every shard must hold at least one tuple); p <= 0 is an
-// error. A plan with P() == 1 is legal and makes the map phase a plain
-// pass-through — useful for equivalence testing.
+// error. A plan with P() == 1 makes the extraction a single scan of the
+// whole dataset — what the delta engine's pools use.
 func NewPlan(d *core.Dataset, p int, strategy Strategy) (*Plan, error) {
 	if d == nil || d.N() == 0 {
 		return nil, errors.New("shard: empty dataset")
@@ -99,70 +73,17 @@ func NewPlan(d *core.Dataset, p int, strategy Strategy) (*Plan, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("shard: shard count must be positive, got %d", p)
 	}
+	if strategy != Contiguous {
+		return nil, fmt.Errorf("shard: unknown strategy %d", strategy)
+	}
 	if p > d.N() {
 		p = d.N()
 	}
 	ts := d.Tuples()
-	groups := make([][]core.Tuple, p)
-	switch strategy {
-	case Contiguous:
-		n := len(ts)
-		for i := 0; i < p; i++ {
-			lo, hi := i*n/p, (i+1)*n/p
-			groups[i] = ts[lo:hi]
-		}
-	case Hash:
-		for _, t := range ts {
-			i := hashID(t.ID) % uint64(p)
-			groups[i] = append(groups[i], t)
-		}
-	default:
-		return nil, fmt.Errorf("shard: unknown strategy %d", strategy)
-	}
-	return build(d, strategy, groups, Fingerprint(strategy, p))
-}
-
-// NewCustomPlan partitions d by an explicit per-tuple assignment: assign[i]
-// is the shard of d.Tuple(i). Shard numbers must be non-negative; gaps are
-// allowed (empty shards are dropped). The fingerprint hashes the full
-// assignment, so distinct placements never collide in caches.
-func NewCustomPlan(d *core.Dataset, assign []int) (*Plan, error) {
-	if d == nil || d.N() == 0 {
-		return nil, errors.New("shard: empty dataset")
-	}
-	if len(assign) != d.N() {
-		return nil, fmt.Errorf("shard: assignment has %d entries, dataset has %d tuples", len(assign), d.N())
-	}
-	p := 0
-	for i, s := range assign {
-		if s < 0 {
-			return nil, fmt.Errorf("shard: tuple %d assigned to negative shard %d", i, s)
-		}
-		if s+1 > p {
-			p = s + 1
-		}
-	}
-	groups := make([][]core.Tuple, p)
-	for i, t := range d.Tuples() {
-		groups[assign[i]] = append(groups[assign[i]], t)
-	}
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, s := range assign {
-		putUint64(&buf, uint64(s))
-		h.Write(buf[:])
-	}
-	return build(d, Custom, groups, fmt.Sprintf("custom:%x", h.Sum64()))
-}
-
-// build assembles the shard datasets, dropping empty groups.
-func build(d *core.Dataset, strategy Strategy, groups [][]core.Tuple, fingerprint string) (*Plan, error) {
-	pl := &Plan{source: d, strategy: strategy, fingerprint: fingerprint}
-	for _, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		sd, err := core.FromTuples(g)
+	n := len(ts)
+	pl := &Plan{n: n}
+	for i := 0; i < p; i++ {
+		sd, err := core.FromTuples(ts[i*n/p : (i+1)*n/p])
 		if err != nil {
 			return nil, fmt.Errorf("shard: building shard dataset: %w", err)
 		}
@@ -171,47 +92,11 @@ func build(d *core.Dataset, strategy Strategy, groups [][]core.Tuple, fingerprin
 	return pl, nil
 }
 
-// P returns the number of non-empty shards.
+// P returns the number of shards.
 func (pl *Plan) P() int { return len(pl.shards) }
 
 // N returns the size of the partitioned dataset.
-func (pl *Plan) N() int { return pl.source.N() }
-
-// Source returns the dataset the plan partitions.
-func (pl *Plan) Source() *core.Dataset { return pl.source }
+func (pl *Plan) N() int { return pl.n }
 
 // Shard returns the i-th shard as a dataset (IDs preserved).
 func (pl *Plan) Shard(i int) *core.Dataset { return pl.shards[i] }
-
-// Strategy returns the assignment strategy the plan was built with.
-func (pl *Plan) Strategy() Strategy { return pl.strategy }
-
-// Fingerprint identifies the partition for cache keys: plans with the same
-// fingerprint over the same dataset produce identical shard compositions.
-// Contiguous and hash plans fingerprint as "contig:P" / "hash:P"; custom
-// plans hash their full assignment.
-func (pl *Plan) Fingerprint() string { return pl.fingerprint }
-
-// Fingerprint returns the cache-key fingerprint a NewPlan(d, p, strategy)
-// call will carry. The serving layer uses it to key cached results by
-// shard configuration without building a plan first. Note NewPlan caps p at
-// the dataset size; callers keying caches should pass the requested p —
-// consistency, not the effective shard count, is what a cache key needs.
-func Fingerprint(strategy Strategy, p int) string {
-	return fmt.Sprintf("%s:%d", strategy, p)
-}
-
-// hashID mixes a tuple ID (splitmix64 finalizer) so that Hash plans don't
-// mirror contiguous ones on the common IDs-equal-indexes datasets.
-func hashID(id int) uint64 {
-	x := uint64(id) + 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func putUint64(buf *[8]byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
-	}
-}

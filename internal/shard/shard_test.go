@@ -2,13 +2,13 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"rrr/internal/core"
 	"rrr/internal/geom"
-	"rrr/internal/kset"
 	"rrr/internal/topk"
 )
 
@@ -60,25 +60,16 @@ func checkPartition(t *testing.T, d *core.Dataset, pl *Plan) {
 
 func TestNewPlanStrategies(t *testing.T) {
 	d := randomDataset(t, 101, 3, 1)
-	for _, strat := range []Strategy{Contiguous, Hash} {
-		for _, p := range []int{1, 2, 4, 7, 101, 500} {
-			pl, err := NewPlan(d, p, strat)
-			if err != nil {
-				t.Fatalf("%v p=%d: %v", strat, p, err)
-			}
-			want := p
-			if want > d.N() {
-				want = d.N()
-			}
-			// Hash plans may produce empty groups that get dropped.
-			if strat == Contiguous && pl.P() != want {
-				t.Fatalf("%v p=%d: P()=%d, want %d", strat, p, pl.P(), want)
-			}
-			if pl.P() < 1 || pl.P() > want {
-				t.Fatalf("%v p=%d: P()=%d out of range [1,%d]", strat, p, pl.P(), want)
-			}
-			checkPartition(t, d, pl)
+	for _, p := range []int{1, 2, 4, 7, 101, 500} {
+		pl, err := NewPlan(d, p, Contiguous)
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
 		}
+		want := min(p, d.N())
+		if pl.P() != want || pl.N() != d.N() {
+			t.Fatalf("p=%d: P()=%d N()=%d, want %d and %d", p, pl.P(), pl.N(), want, d.N())
+		}
+		checkPartition(t, d, pl)
 	}
 	if _, err := NewPlan(d, 0, Contiguous); err == nil {
 		t.Fatal("p=0 accepted")
@@ -86,77 +77,14 @@ func TestNewPlanStrategies(t *testing.T) {
 	if _, err := NewPlan(nil, 2, Contiguous); err == nil {
 		t.Fatal("nil dataset accepted")
 	}
-}
-
-func TestNewCustomPlan(t *testing.T) {
-	d := randomDataset(t, 20, 2, 2)
-	assign := make([]int, 20)
-	for i := range assign {
-		assign[i] = i % 3
-	}
-	pl, err := NewCustomPlan(d, assign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.P() != 3 {
-		t.Fatalf("P()=%d, want 3", pl.P())
-	}
-	checkPartition(t, d, pl)
-
-	// Gaps in shard numbering drop the empty groups.
-	sparse := make([]int, 20)
-	for i := range sparse {
-		sparse[i] = (i % 2) * 5
-	}
-	pl2, err := NewCustomPlan(d, sparse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl2.P() != 2 {
-		t.Fatalf("sparse P()=%d, want 2", pl2.P())
-	}
-	checkPartition(t, d, pl2)
-
-	if _, err := NewCustomPlan(d, assign[:5]); err == nil {
-		t.Fatal("short assignment accepted")
-	}
-	if _, err := NewCustomPlan(d, append(make([]int, 19), -1)); err == nil {
-		t.Fatal("negative shard accepted")
+	if _, err := NewPlan(d, 2, Contiguous+1); err == nil {
+		t.Fatal("unknown strategy accepted")
 	}
 }
 
-func TestFingerprints(t *testing.T) {
-	d := randomDataset(t, 30, 2, 3)
-	seen := make(map[string]bool)
-	for _, p := range []int{1, 2, 4} {
-		for _, strat := range []Strategy{Contiguous, Hash} {
-			pl, err := NewPlan(d, p, strat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fp := pl.Fingerprint()
-			if fp != Fingerprint(strat, p) {
-				t.Fatalf("plan fingerprint %q != Fingerprint(%v, %d) = %q", fp, strat, p, Fingerprint(strat, p))
-			}
-			if seen[fp] {
-				t.Fatalf("duplicate fingerprint %q", fp)
-			}
-			seen[fp] = true
-		}
-	}
-	a1 := []int{0, 1, 0, 1}
-	a2 := []int{1, 0, 1, 0}
-	d4 := randomDataset(t, 4, 2, 4)
-	p1, _ := NewCustomPlan(d4, a1)
-	p2, _ := NewCustomPlan(d4, a2)
-	if p1.Fingerprint() == p2.Fingerprint() {
-		t.Fatalf("distinct custom assignments share fingerprint %q", p1.Fingerprint())
-	}
-}
-
-// TestCandidatesContainTopK is the containment property the whole engine
-// rests on: for many random functions, the global top-k is inside the
-// candidate pool — for every extractor, strategy, and shard count.
+// TestCandidatesContainTopK is the containment property the pools rest
+// on: for many random functions, the global top-k is inside the candidate
+// pool — for every extractor and shard count.
 func TestCandidatesContainTopK(t *testing.T) {
 	const k = 8
 	cases := []struct {
@@ -167,51 +95,39 @@ func TestCandidatesContainTopK(t *testing.T) {
 		{"topkranges-2d", 2, TopKRanges},
 		{"dominance-3d", 3, Dominance},
 		{"dominance-2d", 2, Dominance},
-		{"ksetsample-3d", 3, KSetSample},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			d := randomDataset(t, 300, tc.dims, 7)
 			for _, p := range []int{1, 2, 4, 7} {
-				for _, strat := range []Strategy{Contiguous, Hash} {
-					pl, err := NewPlan(d, p, strat)
-					if err != nil {
-						t.Fatal(err)
+				pl, err := NewPlan(d, p, Contiguous)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pool, stats, err := Candidates(context.Background(), pl, k, tc.ex, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stats.ShardsDone != pl.P() || stats.Candidates != len(pool) || stats.Input != d.N() {
+					t.Fatalf("stats %+v inconsistent (P=%d, pool=%d, n=%d)", stats, pl.P(), len(pool), d.N())
+				}
+				if !sort.IntsAreSorted(pool) {
+					t.Fatal("pool not sorted")
+				}
+				member := make(map[int]bool, len(pool))
+				for _, id := range pool {
+					if member[id] {
+						t.Fatalf("duplicate candidate %d", id)
 					}
-					pool, stats, err := Candidates(context.Background(), pl, k, tc.ex, Options{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if stats.ShardsDone != pl.P() || stats.Candidates != len(pool) || stats.Input != d.N() {
-						t.Fatalf("stats %+v inconsistent (P=%d, pool=%d, n=%d)", stats, pl.P(), len(pool), d.N())
-					}
-					if !sort.IntsAreSorted(pool) {
-						t.Fatal("pool not sorted")
-					}
-					member := make(map[int]bool, len(pool))
-					for _, id := range pool {
-						if member[id] {
-							t.Fatalf("duplicate candidate %d", id)
+					member[id] = true
+				}
+				rng := rand.New(rand.NewSource(11))
+				for trial := 0; trial < 200; trial++ {
+					f := geom.RandomFunc(tc.dims, rng)
+					for _, id := range topk.TopK(d, f, k) {
+						if !member[id] {
+							t.Fatalf("p=%d: top-k member %d missing from pool", p, id)
 						}
-						member[id] = true
-					}
-					rng := rand.New(rand.NewSource(11))
-					misses := 0
-					for trial := 0; trial < 200; trial++ {
-						f := geom.RandomFunc(tc.dims, rng)
-						for _, id := range topk.TopK(d, f, k) {
-							if !member[id] {
-								misses++
-							}
-						}
-					}
-					// The deterministic extractors may never miss; the
-					// sampled one is allowed a sliver.
-					if tc.ex != KSetSample && misses > 0 {
-						t.Fatalf("%v p=%d: %d top-k members missing from pool", strat, p, misses)
-					}
-					if tc.ex == KSetSample && misses > 2 {
-						t.Fatalf("%v p=%d: sampled pool missed %d top-k members", strat, p, misses)
 					}
 				}
 			}
@@ -279,19 +195,25 @@ func TestCandidatesSmallShards(t *testing.T) {
 	}
 }
 
+// TestCandidatesCanceled: the dominance scan honors cancellation — the
+// delta engine's pool build (a one-shard plan) relies on it to bound
+// mutation maintenance by the caller's context.
 func TestCandidatesCanceled(t *testing.T) {
 	d := randomDataset(t, 2000, 3, 6)
-	pl, err := NewPlan(d, 4, Contiguous)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := Candidates(ctx, pl, 10, Dominance, Options{}); err == nil {
-		t.Fatal("canceled context accepted")
-	}
-	if _, _, err := Candidates(ctx, pl, 10, KSetSample, Options{Sampler: kset.SampleOptions{Seed: 1}}); err == nil {
-		t.Fatal("canceled context accepted by sampler")
+	for _, p := range []int{1, 4} {
+		pl, err := NewPlan(d, p, Contiguous)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, stats, err := Candidates(ctx, pl, 10, Dominance, Options{})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("p=%d: err = %v, want context.Canceled", p, err)
+		}
+		if stats.ShardsDone != 0 || stats.Candidates != 0 {
+			t.Fatalf("p=%d: canceled extraction reported progress %+v", p, stats)
+		}
 	}
 }
 
@@ -303,26 +225,5 @@ func TestCandidatesArgErrors(t *testing.T) {
 	}
 	if _, _, err := Candidates(context.Background(), nil, 3, Dominance, Options{}); err == nil {
 		t.Fatal("nil plan accepted")
-	}
-}
-
-func TestOnShardDone(t *testing.T) {
-	d := randomDataset(t, 100, 2, 10)
-	pl, _ := NewPlan(d, 4, Contiguous)
-	var calls []int
-	_, _, err := Candidates(context.Background(), pl, 5, Dominance, Options{
-		Workers: 1,
-		OnShardDone: func(done, total int) {
-			if total != 4 {
-				t.Errorf("total=%d, want 4", total)
-			}
-			calls = append(calls, done)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) != 4 || calls[3] != 4 {
-		t.Fatalf("OnShardDone calls = %v", calls)
 	}
 }

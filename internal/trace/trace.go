@@ -5,7 +5,7 @@
 // finished traces for after-the-fact inspection (GET /v1/traces).
 //
 // The package is stdlib-only and sits at the bottom of the dependency
-// graph — the solver, the shard engine and the service all import it, it
+// graph — the solver, the shard extractors and the service all import it, it
 // imports nothing of theirs.
 //
 // Zero-cost when absent. Every hook is a nil-checked method on a
@@ -37,10 +37,10 @@ type SpanID int32
 // span on a nil or saturated recorder. Ending it is a no-op.
 const NoSpan SpanID = -1
 
-// maxSpans bounds one trace's span count. A sharded solve records one
-// span per shard map task plus a handful of phase spans, so the bound is
-// generous; beyond it spans are counted as dropped, never recorded, and
-// the trace stays intact up to the cutoff.
+// maxSpans bounds one trace's span count. A request records a handful of
+// phase spans, plus one per repaired rank target of a mutation, so the
+// bound is generous; beyond it spans are counted as dropped, never
+// recorded, and the trace stays intact up to the cutoff.
 const maxSpans = 512
 
 // Span is one timed phase of a request. Start and End are offsets from
@@ -49,11 +49,13 @@ const maxSpans = 512
 type Span struct {
 	ID     SpanID
 	Parent SpanID
-	// Name is the phase: "request", "plan", "map", "map_shard", "sweep",
-	// "sample", "recurse", "reduce", "cache_wait", "delta_repair",
-	// "wal_append", "reval_pool" (see DESIGN.md §12 for the grammar).
+	// Name is the phase: "request", "sweep", "sample", "recurse",
+	// "cache_wait", "delta_repair", "map_shard", "publish", "wal_append",
+	// "reval_pool" (see DESIGN.md §12 for the grammar).
 	Name string
-	// Shard is the shard index of a "map_shard" span, -1 otherwise.
+	// Shard is the shard index of a "map_shard" span (a candidate
+	// extraction's per-shard task) or the rank target of a "delta_repair"
+	// span, -1 otherwise.
 	Shard int
 	Start time.Duration
 	// End is zero while the span is open (and stays zero for spans never
@@ -89,7 +91,7 @@ type PhaseSink interface {
 }
 
 // Recorder accumulates one trace's spans. It is safe for concurrent use —
-// shard map workers and detached cache computations append spans from
+// extraction workers and detached cache computations append spans from
 // their own goroutines — and every method is a no-op on a nil receiver,
 // which is what keeps untraced paths free.
 //

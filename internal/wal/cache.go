@@ -6,30 +6,31 @@ import (
 )
 
 const (
-	cacheMagic   = "RRRCACH\n"
-	cacheVersion = 1
+	cacheMagic = "RRRCACH\n"
+	// cacheVersion 2 dropped version 1's shard fields. A version-1 file
+	// may hold sharded MDRRR answers, which can differ from unsharded ones,
+	// so ReadCache rejects it rather than misreading it.
+	cacheVersion = 2
 )
 
 // CacheEntry is one persisted warm-cache answer: the cache key fields
 // (dataset, generation, rank target — negative K encodes the dual size
-// query, algorithm, shard fingerprint), the representative IDs, and the
-// work counters the original computation reported. The warm-cache file is
-// an optimization, not a source of truth: the service only readmits an
-// entry whose generation still matches the live dataset, so a stale or
-// missing file costs recomputation, never correctness.
+// query, algorithm), the representative IDs, and the work counters the
+// original computation reported. The warm-cache file is an optimization,
+// not a source of truth: the service only readmits an entry whose
+// generation still matches the live dataset, so a stale or missing file
+// costs recomputation, never correctness.
 type CacheEntry struct {
 	Dataset string
 	Gen     int64
 	K       int
 	Algo    string
-	Shards  string
 
 	IDs []int
 
 	KSets      int
 	Nodes      int
 	BestK      int
-	ShardsDone int
 	Candidates int
 	Elapsed    time.Duration
 }
@@ -41,7 +42,6 @@ func encodeCacheEntry(ce CacheEntry) ([]byte, error) {
 	e.i64(ce.Gen)
 	e.i64(int64(ce.K))
 	e.str(ce.Algo)
-	e.str(ce.Shards)
 	e.u32(uint32(len(ce.IDs)))
 	for _, id := range ce.IDs {
 		e.i64(int64(id))
@@ -49,7 +49,6 @@ func encodeCacheEntry(ce CacheEntry) ([]byte, error) {
 	e.i64(int64(ce.KSets))
 	e.i64(int64(ce.Nodes))
 	e.i64(int64(ce.BestK))
-	e.i64(int64(ce.ShardsDone))
 	e.i64(int64(ce.Candidates))
 	e.i64(int64(ce.Elapsed))
 	if e.err != nil {
@@ -68,7 +67,6 @@ func decodeCacheEntry(p []byte) (CacheEntry, error) {
 	ce.Gen = d.i64()
 	ce.K = int(d.i64())
 	ce.Algo = d.str()
-	ce.Shards = d.str()
 	if n := d.count(8, "id"); n > 0 {
 		ce.IDs = make([]int, n)
 		for i := range ce.IDs {
@@ -78,7 +76,6 @@ func decodeCacheEntry(p []byte) (CacheEntry, error) {
 	ce.KSets = int(d.i64())
 	ce.Nodes = int(d.i64())
 	ce.BestK = int(d.i64())
-	ce.ShardsDone = int(d.i64())
 	ce.Candidates = int(d.i64())
 	ce.Elapsed = time.Duration(d.i64())
 	if err := d.done(); err != nil {

@@ -339,7 +339,7 @@ func TestCacheFileRoundTrip(t *testing.T) {
 	}
 	want := []wal.CacheEntry{
 		{Dataset: "flights", Gen: 12, K: 10, Algo: "2drrr", IDs: []int{3, 1, 4}, KSets: 99, Nodes: 7, Elapsed: 1500 * time.Microsecond},
-		{Dataset: "flights", Gen: 12, K: -5, Algo: "mdrc", Shards: "contiguous/8", IDs: []int{2}, BestK: 42, ShardsDone: 8, Candidates: 120, Elapsed: time.Second},
+		{Dataset: "flights", Gen: 12, K: -5, Algo: "mdrc", IDs: []int{2}, BestK: 42, Candidates: 120, Elapsed: time.Second},
 	}
 	if err := st.WriteCache(want); err != nil {
 		t.Fatal(err)
@@ -350,6 +350,25 @@ func TestCacheFileRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("cache round trip:\ngot  %+v\nwant %+v", got, want)
+	}
+}
+
+// TestCacheFileRejectsVersion1: testdata/cache_v1.bin is a warm-cache
+// file in the format before version 2 dropped the shard fields, holding
+// one sharded and one unsharded entry. ReadCache must refuse it rather
+// than misread its fields.
+func TestCacheFileRejectsVersion1(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "cache_v1.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "cache.bin"), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := mustOpen(t, dir, wal.Options{}).ReadCache()
+	if err == nil || !strings.Contains(err.Error(), "unknown cache entry version 1") {
+		t.Fatalf("ReadCache of a version-1 file = %+v, %v; want the unknown-version error", entries, err)
 	}
 }
 

@@ -27,8 +27,7 @@ import "strconv"
 // Topic identifies one watchable stream: the representative of Dataset at
 // rank target K under the resolved algorithm Algo. It mirrors the serving
 // cache's key space minus the generation (a watcher follows the key
-// across generations — that is the point) and the shard fingerprint (a
-// process has one shard configuration).
+// across generations — that is the point).
 type Topic struct {
 	Dataset string
 	K       int

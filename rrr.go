@@ -115,15 +115,6 @@ type Result struct {
 	// Draws is the number of ranking functions K-SETr sampled (0 for
 	// algorithms other than MDRRR).
 	Draws int
-	// Shards is the number of shards the map-reduce engine partitioned
-	// the dataset into (0 for unsharded solves; see WithShards).
-	Shards int
-	// Candidates is the size of the candidate pool the reduce phase ran
-	// on (0 for unsharded solves).
-	Candidates int
-	// PruneRatio is the fraction of the dataset the map phase eliminated:
-	// 1 − Candidates/n (0 for unsharded solves).
-	PruneRatio float64
 	// Elapsed is the wall-clock time of the solve.
 	Elapsed time.Duration
 	// revalPool is the containment pool recorded under

@@ -9,7 +9,6 @@ import (
 	"rrr/internal/algo"
 	"rrr/internal/delta"
 	"rrr/internal/kset"
-	"rrr/internal/shard"
 	"rrr/internal/trace"
 )
 
@@ -26,9 +25,6 @@ type Progress struct {
 	KSets int
 	// Draws is the number of ranking functions sampled so far.
 	Draws int
-	// ShardsDone is the number of shards whose map-phase candidate
-	// extraction has completed (sharded solves only; see WithShards).
-	ShardsDone int
 	// Elapsed is the wall-clock time since the solve started.
 	Elapsed time.Duration
 }
@@ -45,8 +41,6 @@ type config struct {
 	drawBudget         int  // hard: exceeding returns ErrBudgetExhausted
 	nodeBudget         int  // hard: exceeding returns ErrBudgetExhausted
 	batchWorkers       int  // SolveBatch fan-out pool size; <= 0 = GOMAXPROCS
-	shards             int  // map-reduce shard count; <= 1 = unsharded
-	shardWorkers       int  // map-phase pool size; <= 0 = GOMAXPROCS
 	deltaMaintenance   bool // record containment pools; enable Revalidate
 	progress           func(Progress)
 }
@@ -83,13 +77,6 @@ func WithSamplerTermination(c int) Option { return func(cfg *config) { cfg.sampl
 // partial stats report the draws and k-sets reached), unlike the legacy
 // Options.SamplerMaxDraws, which silently truncated the collection.
 // Zero or negative means no hard budget.
-//
-// Under WithShards(p) the budget applies to each K-SETr invocation
-// independently — every shard's map-phase sampler and the reduce solve —
-// so a sharded MDRRR solve may draw up to (p+1)× the budget in total
-// before any single invocation exhausts it (each map-phase draw scans
-// only an n/p-sized shard, so the per-draw cost shrinks accordingly).
-// Size the budget per sampling phase, not per solve, when sharding.
 func WithDrawBudget(n int) Option { return func(c *config) { c.drawBudget = n } }
 
 // WithNodeBudget puts a hard cap on the number of recursion nodes MDRC may
@@ -172,6 +159,14 @@ func (s *Solver) Solve(ctx context.Context, d *Dataset, k int) (*Result, error) 
 // rebuilt per solve and allocates; leave it off for allocation-free
 // serving.
 func (s *Solver) SolveInto(ctx context.Context, d *Dataset, k int, res *Result) error {
+	return s.solveInto(ctx, d, k, s.cfg.algorithm, res)
+}
+
+// solveInto is SolveInto running the given algorithm (resolved against
+// d's dimensionality) instead of the configured one, so Revalidate's
+// recompute keeps the prior result's algorithm whatever this Solver is
+// configured with.
+func (s *Solver) solveInto(ctx context.Context, d *Dataset, k int, algorithm Algorithm, res *Result) error {
 	if res == nil {
 		return errors.New("rrr: nil result")
 	}
@@ -184,7 +179,7 @@ func (s *Solver) SolveInto(ctx context.Context, d *Dataset, k int, res *Result) 
 	if k <= 0 {
 		return fmt.Errorf("rrr: k must be positive, got %d", k)
 	}
-	algorithm := s.cfg.algorithm.Resolve(d.Dims())
+	algorithm = algorithm.Resolve(d.Dims())
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return &Error{Kind: ErrCanceled, Op: "solve", Algorithm: algorithm, Cause: err,
@@ -202,51 +197,35 @@ func (s *Solver) SolveInto(ctx context.Context, d *Dataset, k int, res *Result) 
 
 	arena := s.arenas.get()
 	defer s.arenas.put(arena)
-	runData := d
-	var pool *shardPool
-	if s.cfg.shards > 1 {
-		var (
-			mstats shard.Stats
-			err    error
-		)
-		pool, mstats, err = s.buildPool(ctx, d, k, algorithm, start)
-		if err != nil {
-			return s.wrapShardError(algorithm, start, mstats, err)
-		}
-		runData = pool.data
-	}
-	if err := s.solveOnInto(ctx, runData, k, algorithm, start, pool, arena, res); err != nil {
+	if err := s.solveOnInto(ctx, d, k, algorithm, start, arena, res); err != nil {
 		return err
 	}
 	if s.cfg.deltaMaintenance {
-		// Record the revalidation pool for Revalidate. Unlike the shard
-		// engine's per-algorithm pools it is always an exact containment
-		// pool of the *full* dataset, so it stays sound for any later
-		// mutation regardless of how this solve was executed.
+		// Record the revalidation pool for Revalidate: an exact containment
+		// pool of the full dataset, sound for any later mutation.
 		rec, parent := trace.FromContext(ctx)
 		rpID := rec.Start("reval_pool", parent)
 		rp, err := delta.BuildPool(ctx, d, k)
 		rec.End(rpID)
 		if err != nil {
-			return s.wrapShardError(algorithm, start, shard.Stats{}, err)
+			return s.wrapSolveError(algorithm, start, err)
 		}
 		res.revalPool = rp
 	}
 	return nil
 }
 
-// solveOnInto runs the resolved algorithm on runData — the reduce phase of
-// a sharded solve (pool non-nil), the whole solve otherwise — and
-// assembles the public result into res, resetting every field so a reused
-// Result never leaks a previous solve's counters. Solve, SolveInto and the
-// dual search's probes share it.
-func (s *Solver) solveOnInto(ctx context.Context, runData *Dataset, k int, algorithm Algorithm, start time.Time, pool *shardPool, arena *solveArena, res *Result) error {
+// solveOnInto runs the resolved algorithm on runData and assembles the
+// public result into res, resetting every field so a reused Result never
+// leaks a previous solve's counters. SolveInto, the dual search's probes
+// and Revalidate's repair share it.
+func (s *Solver) solveOnInto(ctx context.Context, runData *Dataset, k int, algorithm Algorithm, start time.Time, arena *solveArena, res *Result) error {
 	rec, parent := trace.FromContext(ctx)
-	sid := rec.Start(solvePhase(algorithm, pool != nil), parent)
+	sid := rec.Start(solvePhase(algorithm), parent)
 	ids, stats, err := s.runAlgorithm(ctx, runData, k, algorithm, s.progressHook(algorithm, start), arena)
 	rec.End(sid)
 	if err != nil {
-		return pool.applyPartial(s.wrapSolveError(algorithm, start, err))
+		return s.wrapSolveError(algorithm, start, err)
 	}
 	// ids may alias the arena; copy into the caller-owned slice before the
 	// arena returns to the pool.
@@ -256,20 +235,39 @@ func (s *Solver) solveOnInto(ctx context.Context, runData *Dataset, k int, algor
 	res.KSets = stats.KSets
 	res.Nodes = stats.Nodes
 	res.Draws = stats.SamplerDraws
-	res.Shards, res.Candidates, res.PruneRatio = 0, 0, 0
 	res.revalPool = nil
 	res.Elapsed = time.Since(start)
-	pool.applyTo(res)
 	return nil
 }
 
-// solvePhase names the span of an algorithm run: the reduce phase of a
-// sharded solve, or the algorithm's own phase name unsharded. These are
-// the phase labels of rrrd_solve_phase_seconds, so keep them stable.
-func solvePhase(algorithm Algorithm, sharded bool) string {
-	if sharded {
-		return "reduce"
+// runAlgorithm dispatches the resolved algorithm on a dataset. Every
+// solve path shares it so the paths cannot drift. The arena carries the
+// per-solve scratch; the returned IDs may alias it.
+func (s *Solver) runAlgorithm(ctx context.Context, d *Dataset, k int, algorithm Algorithm, onProgress func(algo.Stats), arena *solveArena) ([]int, algo.Stats, error) {
+	switch algorithm {
+	case Algo2DRRR:
+		return algo.TwoDRRRScratch(ctx, d, k, s.twoDOptions(onProgress), &arena.twod)
+	case AlgoMDRRR:
+		opt := s.mdrrrOptions(onProgress)
+		opt.Sampler.Scratch = &arena.sampler
+		r, err := algo.MDRRR(ctx, d, k, opt)
+		if err != nil {
+			return nil, algo.Stats{}, err
+		}
+		return r.IDs, r.Stats, nil
+	case AlgoMDRC:
+		r, err := algo.MDRC(ctx, d, k, s.mdrcOptions(onProgress))
+		if err != nil {
+			return nil, algo.Stats{}, err
+		}
+		return r.IDs, r.Stats, nil
 	}
+	return nil, algo.Stats{}, fmt.Errorf("rrr: unknown algorithm %q", algorithm)
+}
+
+// solvePhase names the span of an algorithm run. These are the phase
+// labels of rrrd_solve_phase_seconds, so keep them stable.
+func solvePhase(algorithm Algorithm) string {
 	switch algorithm {
 	case Algo2DRRR:
 		return "sweep"
@@ -358,34 +356,16 @@ func (s *Solver) MinimalKForSize(ctx context.Context, d *Dataset, size int) (int
 	lo, hi := 1, d.N()
 	var best *Result
 	bestK := 0
-	// Sharded searches keep one candidate pool across probes: a pool built
-	// for rank target k is exact for every k' <= k, so a probe re-runs the
-	// map phase only when the pool doesn't cover it — too small, or loose
-	// enough (see shardPool.covers) that the reduce would lose its pruning.
-	// A halving search rebuilds every other probe instead of every probe.
-	var pool *shardPool
 	// One arena serves the whole search; each probe gets a fresh Result
 	// because the best one is retained across probes and returned.
 	arena := s.arenas.get()
 	defer s.arenas.put(arena)
 	probe := func(mid int) (*Result, error) {
-		pstart := time.Now()
 		if err := validateDims(algorithm, d.Dims()); err != nil {
 			return nil, err
 		}
-		runData := d
-		if s.cfg.shards > 1 {
-			if !pool.covers(mid) {
-				p, mstats, err := s.buildPool(ctx, d, mid, algorithm, pstart)
-				if err != nil {
-					return nil, s.wrapShardError(algorithm, pstart, mstats, err)
-				}
-				pool = p
-			}
-			runData = pool.data
-		}
 		res := new(Result)
-		if err := s.solveOnInto(ctx, runData, mid, algorithm, pstart, pool, arena, res); err != nil {
+		if err := s.solveOnInto(ctx, d, mid, algorithm, time.Now(), arena, res); err != nil {
 			return nil, err
 		}
 		return res, nil
@@ -430,9 +410,7 @@ func (s *Solver) MinimalKForSize(ctx context.Context, d *Dataset, size int) (int
 }
 
 // validateAlgorithm rejects names outside the known algorithm set before
-// any work runs — in particular before a sharded solve's map phase, which
-// would otherwise burn a full candidate extraction only to fail at
-// dispatch. Solve, MinimalKForSize and SolveBatch share it.
+// any work runs. Solve, MinimalKForSize and SolveBatch share it.
 func validateAlgorithm(algorithm Algorithm) error {
 	switch algorithm {
 	case Algo2DRRR, AlgoMDRRR, AlgoMDRC:

@@ -35,7 +35,6 @@ func TestSolveMatchesSolveInto(t *testing.T) {
 		{"mdrc", d3, 10, []rrr.Option{rrr.WithAlgorithm(rrr.AlgoMDRC)}},
 		{"auto-2d", d2, 5, nil},
 		{"auto-3d", d3, 5, nil},
-		{"sharded-2d", d2, 10, []rrr.Option{rrr.WithShards(4)}},
 	}
 	var reused rrr.Result
 	for _, tc := range cases {
@@ -55,9 +54,6 @@ func TestSolveMatchesSolveInto(t *testing.T) {
 				if want.Algorithm != reused.Algorithm || want.K != reused.K {
 					t.Fatalf("round %d: header mismatch: Solve (%s, %d) != SolveInto (%s, %d)",
 						round, want.Algorithm, want.K, reused.Algorithm, reused.K)
-				}
-				if want.Shards != reused.Shards || want.Candidates != reused.Candidates {
-					t.Fatalf("round %d: shard counters leak: %+v vs %+v", round, want, reused)
 				}
 				if reused.Elapsed <= 0 {
 					t.Fatal("SolveInto result missing elapsed time")
