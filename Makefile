@@ -14,8 +14,9 @@ test:
 
 # The second run repeats the service package: its cache's ordering rules
 # (a flight is counted before its last key wakes a waiter) only show up
-# as failures on repeated race runs. core, topk, algo and kset share each
-# dataset's lazily built scan order across concurrent top-k queries.
+# as failures on repeated race runs. core, topk, algo, kset and delta
+# share each dataset's lazily built scan order, dominator counts and
+# k-skyband slot across concurrent queries.
 race:
 	$(GO) test -race ./internal/service/ ./internal/eval/ ./internal/shard/ ./internal/delta/ ./internal/wal/ ./internal/watch/ ./internal/trace/ ./internal/trace/export/ ./internal/core/ ./internal/topk/ ./internal/algo/ ./internal/kset/
 	$(GO) test -race -count=10 ./internal/service/
@@ -23,14 +24,16 @@ race:
 # Fuzz smoke: a short budgeted run of each native fuzz target, catching
 # decoder panics and non-canonical encodings before they reach a corpus,
 # any input on which the skyband-pruned 2-D sweep disagrees with the
-# unfiltered one, and any on which the early-exit top-k scan disagrees
-# with the full sort. One -fuzz pattern per invocation: go test rejects
-# multiple fuzz targets in a single run.
+# unfiltered one, any on which the early-exit top-k scan disagrees with
+# the full sort, and any on which the dominator-count index disagrees
+# with the pairwise count. One -fuzz pattern per invocation: go test
+# rejects multiple fuzz targets in a single run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzFindRanges -fuzztime 10s ./internal/sweep/
 	$(GO) test -run '^$$' -fuzz FuzzTopK -fuzztime 10s ./internal/topk/
+	$(GO) test -run '^$$' -fuzz FuzzDominators -fuzztime 10s ./internal/core/
 
 # Tier-1 benchmarks, 5 repetitions for benchstat-able variance. CI uploads
 # bench.txt as an artifact so every PR leaves a perf data point to compare

@@ -13,6 +13,7 @@ package rrr_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"rrr"
@@ -144,6 +145,24 @@ func BenchmarkTopK(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		topk.TopK(d, f, 100)
+	}
+}
+
+// BenchmarkDominatorIndex times the dominator-count build that K-SETr and
+// the delta engine's d-D pools pay once per dataset, each iteration on a
+// fresh dataset built outside the timer.
+func BenchmarkDominatorIndex(b *testing.B) {
+	for _, c := range []struct{ n, d int }{{2000, 3}, {50000, 3}, {10000, 4}} {
+		b.Run(fmt.Sprintf("bn_n%d_d%d", c.n, c.d), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				d := benchDataset(b, "bn", c.n, c.d)
+				b.StartTimer()
+				if _, err := d.DominatorCounts(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

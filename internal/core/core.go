@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // Tuple is a single item of the database: an identifier plus a point in R^d.
@@ -69,6 +70,10 @@ type Dataset struct {
 	scanOnce  sync.Once
 	scanOrder []int32
 	scanNorms []float64
+	// dominators holds the DominatorCounts index once a build succeeds,
+	// and band the most recent KSkyband.
+	dominators atomic.Pointer[[]int32]
+	band       atomic.Pointer[skyband]
 }
 
 // NewDataset builds a dataset from raw points, assigning IDs 0..n-1 in

@@ -55,9 +55,12 @@ func (t *Table) Normalize() (*core.Dataset, error) {
 	if t.IDs != nil && len(t.IDs) != t.N() {
 		return nil, fmt.Errorf("dataset: %d IDs for %d rows", len(t.IDs), t.N())
 	}
+	// One backing array holds every point, so normalizing costs a fixed
+	// number of allocations however many rows the table has.
+	backing := make([]float64, t.N()*d)
 	points := make([][]float64, t.N())
 	for i, row := range t.Rows {
-		p := make([]float64, d)
+		p := backing[i*d : (i+1)*d : (i+1)*d]
 		for j, v := range row {
 			span := maxs[j] - mins[j]
 			switch {
@@ -94,9 +97,11 @@ func (t *Table) Project(cols []int) (*Table, error) {
 		}
 		attrs[i] = t.Attrs[c]
 	}
+	d := len(cols)
+	backing := make([]float64, t.N()*d)
 	rows := make([][]float64, t.N())
 	for i, row := range t.Rows {
-		r := make([]float64, len(cols))
+		r := backing[i*d : (i+1)*d : (i+1)*d]
 		for j, c := range cols {
 			r[j] = row[c]
 		}

@@ -8,9 +8,9 @@
 // under f is in the top-k of any subset containing it — gives an exact
 // revalidation test under data change. Fix a rank target k and let
 // C ⊇ {t : ∃f, t ∈ topk_D(f)} be a containment pool of the dataset D the
-// cached answer was computed on (the shard package's TopKRanges and
-// Dominance extractors build exactly such pools). For a mutation batch
-// turning D into D′:
+// cached answer was computed on (BuildPool builds exactly such pools: the
+// 2-D range owners, or the k-skyband read from the snapshot's dominator
+// counts). For a mutation batch turning D into D′:
 //
 //  1. If the raw normalization bounds moved, every surviving tuple's
 //     normalized coordinates change and no containment argument relates
@@ -18,7 +18,7 @@
 //  2. Deleting u ∉ C removes a tuple that is in no top-k, so
 //     topk_{D′}(f) = topk_D(f) for every f. Deleting u ∈ C can promote
 //     tuples from below rank k in ways the pool cannot see: STALE.
-//  3. Inserting t that is componentwise dominated (shard.AlwaysOutranks)
+//  3. Inserting t that is componentwise dominated (core.AlwaysOutranks)
 //     by at least k pool members can never enter any top-k — and testing
 //     against the pool is as complete as testing against all of D′,
 //     because a tuple with k dominators anywhere has k dominators in the

@@ -74,23 +74,45 @@ func (p *Pool) Len() int {
 	return len(p.IDs)
 }
 
-// BuildPool computes a containment pool of d at rank target k using the
-// shard package's exact extractors on a single-shard plan: the 2-D sweep's
-// range owners for 2-D data (the minimal pool — exactly the tuples that
-// ever enter the top-k) and the componentwise-dominance filter otherwise
-// (sound for every dimensionality and every linear function). Both are
-// proven supersets of every k-set member, which is all the classification
-// tests require.
+// BuildPool computes a containment pool of d at rank target k. For 2-D
+// data it is the 2-D sweep's range owners, from the shard package's
+// TopKRanges extractor on a single-shard plan: the minimal pool, exactly
+// the tuples that ever enter the top-k. Otherwise it is the k-skyband,
+// the tuples fewer than k others AlwaysOutrank, read from d's dominator
+// counts (core.Dataset.DominatorCounts, built at the snapshot's first
+// pool): the same pool shard.Dominance's scan returns, sound for every
+// dimensionality and every linear function. Both are proven supersets of
+// every k-set member, which is all the classification tests require. A
+// dead context returns its error.
 func BuildPool(ctx context.Context, d *core.Dataset, k int) (*Pool, error) {
+	if d.Dims() != 2 {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("delta: building revalidation pool: %w", err)
+		}
+		counts, err := d.DominatorCounts(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("delta: building revalidation pool: %w", err)
+		}
+		size := 0
+		for _, c := range counts {
+			if int(c) < k {
+				size++
+			}
+		}
+		ids := make([]int, 0, size)
+		for i, c := range counts {
+			if int(c) < k {
+				ids = append(ids, d.Tuple(i).ID)
+			}
+		}
+		sort.Ints(ids)
+		return newPool(k, ids), nil
+	}
 	pl, err := shard.NewPlan(d, 1, shard.Contiguous)
 	if err != nil {
 		return nil, fmt.Errorf("delta: building revalidation pool: %w", err)
 	}
-	ex := shard.Dominance
-	if d.Dims() == 2 {
-		ex = shard.TopKRanges
-	}
-	ids, _, err := shard.Candidates(ctx, pl, k, ex, shard.Options{})
+	ids, _, err := shard.Candidates(ctx, pl, k, shard.TopKRanges, shard.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("delta: building revalidation pool: %w", err)
 	}
@@ -144,7 +166,7 @@ func (p *Pool) dominatedByK(t core.Tuple, after *core.Dataset) bool {
 		if !ok {
 			continue
 		}
-		if shard.AlwaysOutranks(u, t) {
+		if core.AlwaysOutranks(u, t) {
 			dominators++
 			if dominators >= p.K {
 				return true

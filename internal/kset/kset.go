@@ -190,6 +190,14 @@ type SampleStats struct {
 // sweep.FindRanges rejects it, not silently clamped, so every algorithm
 // reports the same condition for the same input.
 //
+// Each draw costs one early-exit top-k scan, O(m log k) for the m tuples
+// it reads. Those come from the whole dataset only until the run's scan
+// work pays for the dataset's dominator counts; from then on, and from
+// the start on a dataset that already has them, a draw reads only the
+// k-skyband (see source), which on the paper's correlated data holds a
+// fraction of the tuples. Every top-k lies in the band, so the
+// collection, draws and stats are those of a run over the full data.
+//
 // The context is checked every cancelCheckInterval draws. On cancellation
 // (or a HardMaxDraws overrun) Sample returns the partial collection and
 // stats alongside the error, so callers can report — or even use — what
@@ -219,6 +227,7 @@ func Sample(ctx context.Context, d *core.Dataset, k int, opt SampleOptions) (*Co
 		sc = new(SampleScratch)
 	}
 	w := sc.weight(d.Dims())
+	src := newSource(ctx, d, k)
 	stats := SampleStats{}
 	counter := 0
 	for counter <= term {
@@ -244,7 +253,9 @@ func Sample(ctx context.Context, d *core.Dataset, k int, opt SampleOptions) (*Co
 		}
 		geom.RandomWeightInto(w, rng)
 		stats.Draws++
-		s := topk.TopKSetScratch(d, core.LinearFunc{W: w}, k, &sc.topk)
+		s, read := topk.TopKOrderScratch(d, src.order, src.norms, core.LinearFunc{W: w}, k, &sc.topk)
+		src.scanned(ctx, d, k, read)
+		sort.Ints(s)
 		if col.Add(s) {
 			counter = 0
 		} else {
@@ -264,7 +275,9 @@ func Sample(ctx context.Context, d *core.Dataset, k int, opt SampleOptions) (*Co
 // truncation flag are identical to an independent Sample(ctx, d, k, opt)
 // call with the same options — the whole point: a batch of adjacent k
 // values pays for one function stream and one scoring pass per draw
-// instead of len(ks).
+// instead of len(ks). The scans move to the k-skyband as Sample's do,
+// using the band of the largest k still active at the move, which
+// contains every smaller k's band.
 //
 // Results align with ks by index. errs[i] is non-nil when that k's run
 // failed (a hard draw budget wrapping ErrDrawBudget, or the context dying
@@ -313,6 +326,16 @@ func SampleMulti(ctx context.Context, d *core.Dataset, ks []int, opt SampleOptio
 		sc = new(SampleScratch)
 	}
 	w := sc.weight(d.Dims())
+	maxK := 0
+	for _, st := range states {
+		if st != nil {
+			maxK = max(maxK, st.k)
+		}
+	}
+	var src source
+	if maxK > 0 {
+		src = newSource(ctx, d, maxK)
+	}
 	draws := 0
 	for {
 		// Per-k stopping rules, checked before each draw exactly as Sample
@@ -363,7 +386,8 @@ func SampleMulti(ctx context.Context, d *core.Dataset, ks []int, opt SampleOptio
 		}
 		geom.RandomWeightInto(w, rng)
 		draws++
-		ordered := topk.TopKScratch(d, core.LinearFunc{W: w}, maxActive, &sc.topk)
+		ordered, read := topk.TopKOrderScratch(d, src.order, src.norms, core.LinearFunc{W: w}, maxActive, &sc.topk)
+		src.scanned(ctx, d, maxActive, read)
 		for i, st := range states {
 			if st == nil || !st.active {
 				continue
@@ -387,6 +411,50 @@ func SampleMulti(ctx context.Context, d *core.Dataset, ks []int, opt SampleOptio
 		stats[i].Distinct = cols[i].Len()
 	}
 	return cols, stats, errs
+}
+
+// source is the tuple order a K-SETr run's top-k scans read. Every
+// draw's top-k lies in the k-skyband (core.Dataset.KSkyband), so a run
+// on a dataset that already has its dominator counts reads only the
+// band. Otherwise it starts on the full ScanOrder and counts the tuples
+// its scans score; once that work reaches the build's estimated cost
+// (core.Dataset.DominatorBuildCost), it builds the counts and moves to
+// the band. So a run that stops early pays at most about twice its scan
+// work, and a long run pays for the build once. Both orders yield the
+// same top-k, so the switch never shows in a run's output.
+type source struct {
+	order []int32
+	norms []float64
+	// left is the scan work still to go before the build pays; negative
+	// once the run reads the band or its build failed.
+	left int
+}
+
+func newSource(ctx context.Context, d *core.Dataset, k int) source {
+	if d.HasDominatorCounts() {
+		if order, norms, err := d.KSkyband(ctx, k); err == nil {
+			return source{order: order, norms: norms, left: -1}
+		}
+	}
+	order, norms := d.ScanOrder()
+	return source{order: order, norms: norms, left: d.DominatorBuildCost()}
+}
+
+// scanned records a scan that scored read tuples, and moves the run to
+// the k-skyband once its work covers the build. A build whose context
+// died leaves the run on the full order, where the draw loop's next
+// context check stops it.
+func (s *source) scanned(ctx context.Context, d *core.Dataset, k, read int) {
+	if s.left < 0 {
+		return
+	}
+	if s.left -= read; s.left > 0 {
+		return
+	}
+	s.left = -1
+	if order, norms, err := d.KSkyband(ctx, k); err == nil {
+		s.order, s.norms = order, norms
+	}
 }
 
 // IsValid checks whether the given tuple IDs form a valid k-set of d by

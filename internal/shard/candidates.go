@@ -159,14 +159,11 @@ func extract(ctx context.Context, sd *core.Dataset, k int, ex Extractor) ([]int,
 }
 
 // dominanceCandidates keeps every tuple outranked by fewer than k shard
-// tuples under all linear functions. AlwaysOutranks is a sound and complete
-// test of "outranks for every f in the paper's L": componentwise u ≥ t
-// makes every score difference non-negative; the difference is strictly
-// positive for every admissible f only when u > t strictly everywhere
-// (weights may be zero on any proper attribute subset), and an exact score
-// tie goes to the smaller ID. A tuple with k such dominators ranks below k
-// everywhere, so dropping it cannot change any top-k — while every kept
-// tuple costs only conservatism, never correctness.
+// tuples under all linear functions. core.AlwaysOutranks is a sound and
+// complete test of "outranks for every f in the paper's L". A tuple with k
+// such dominators ranks below k everywhere, so dropping it cannot change
+// any top-k — while every kept tuple costs only conservatism, never
+// correctness.
 //
 // The scan uses the sort-filter trick of the skyline literature: u ≥ t
 // componentwise implies Σu ≥ Σt, so with tuples sorted by attribute sum
@@ -206,7 +203,7 @@ func dominanceCandidates(ctx context.Context, sd *core.Dataset, k int, sc *mapSc
 		// least Σt, and among equal sums dominance requires winning the ID
 		// tie-break, which the sort places earlier too.
 		for _, j := range order[:pos] {
-			if AlwaysOutranks(ts[j], t) {
+			if core.AlwaysOutranks(ts[j], t) {
 				dominators++
 				if dominators >= k {
 					break
@@ -218,25 +215,6 @@ func dominanceCandidates(ctx context.Context, sd *core.Dataset, k int, sc *mapSc
 		}
 	}
 	return ids, nil
-}
-
-// AlwaysOutranks reports whether u outranks t under every linear ranking
-// function with non-negative weights (at least one positive), per the
-// library's deterministic tie-break: u ≥ t componentwise, and either
-// strictly everywhere or winning the equal-score ID tie-break. It is the
-// componentwise core of the Dominance extractor, exported for the delta
-// engine's insert-containment test.
-func AlwaysOutranks(u, t core.Tuple) bool {
-	strict := true
-	for j, v := range u.Attrs {
-		switch {
-		case v < t.Attrs[j]:
-			return false
-		case v == t.Attrs[j]:
-			strict = false
-		}
-	}
-	return strict || u.ID < t.ID
 }
 
 func allIDs(sd *core.Dataset) []int {

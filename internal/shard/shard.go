@@ -22,19 +22,20 @@
 //   - Dominance (any d ≥ 2): a tuple outranked by k or more shard tuples
 //     under *every* linear function can never enter the shard's top-k and
 //     is pruned. "u always outranks t" is decided componentwise
-//     (AlwaysOutranks), so the filter is exact for the whole function
+//     (core.AlwaysOutranks), so the filter is exact for the whole function
 //     space, not a sample of it.
 //
-// Callers: internal/delta builds its revalidation pools with a one-shard
-// plan and tests inserts with AlwaysOutranks; the batch engine fans its
-// per-query tails out with FanOut; perfbench's ledger times both
-// extractors.
+// Callers: internal/delta builds its 2-D revalidation pools with
+// TopKRanges on a one-shard plan (its d-D pools come from the dataset's
+// dominator counts, core.Dataset.DominatorCounts); the batch engine fans
+// its per-query tails out with FanOut; perfbench's ledger times both
+// extractors. Dominance stays as the oracle the d-D pools are tested
+// against, and as the scan the ledger's shard.dominance_ms row times.
 //
 // Nothing solves on a P-shard pool any more: the kernels now do that
 // pruning themselves (the 2-D sweep runs on the k-skyband, d-D top-k
 // scans stop early), so a sharded solve lost to the plain one on every
-// measured workload (EXPERIMENTS.md §5). The extractors stay because the
-// delta engine's pools need exactly them.
+// measured workload (EXPERIMENTS.md §5).
 package shard
 
 import (

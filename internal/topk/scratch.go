@@ -1,10 +1,6 @@
 package topk
 
-import (
-	"sort"
-
-	"rrr/internal/core"
-)
+import "rrr/internal/core"
 
 // Scratch is a reusable arena for top-k selection: the bounded min-heap and
 // the output buffer. A warm Scratch makes repeated TopKScratch calls over
@@ -35,17 +31,23 @@ func TopKScratch(d *core.Dataset, f core.LinearFunc, k int, sc *Scratch) []int {
 	if k > n {
 		k = n
 	}
-	sc.h = scan(d, f, k, sc.h)
+	order, norms := d.ScanOrder()
+	ids, _ := TopKOrderScratch(d, order, norms, f, k, sc)
+	return ids
+}
+
+// TopKOrderScratch is TopKScratch reading only d's tuples at the positions
+// of order, by slice index, where norms[j] bounds the Norm of every tuple
+// from order position j on: Dataset.ScanOrder, or Dataset.KSkyband at a
+// rank target of at least k, which holds every member of every top-k and
+// so yields the same IDs. It also returns how many tuples the scan scored,
+// the work K-SETr weighs against building the band. k must be in
+// [1, len(order)].
+func TopKOrderScratch(d *core.Dataset, order []int32, norms []float64, f core.LinearFunc, k int, sc *Scratch) ([]int, int) {
+	var read int
+	sc.h, read = scan(d.Tuples(), order, norms, f, k, sc.h)
 	if cap(sc.out) < k {
 		sc.out = make([]int, k)
 	}
-	return pop(sc.h, sc.out[:k])
-}
-
-// TopKSetScratch is TopKSet on a caller-owned arena: the top-k IDs sorted
-// ascending, aliasing sc.
-func TopKSetScratch(d *core.Dataset, f core.LinearFunc, k int, sc *Scratch) []int {
-	ids := TopKScratch(d, f, k, sc)
-	sort.Ints(ids)
-	return ids
+	return pop(sc.h, sc.out[:k]), read
 }

@@ -43,7 +43,9 @@ func TopK(d *core.Dataset, f core.LinearFunc, k int) []int {
 	if k >= n {
 		return Ranking(d, f)
 	}
-	return pop(scan(d, f, k, make([]item, 0, k)), make([]int, k))
+	order, norms := d.ScanOrder()
+	h, _ := scan(d.Tuples(), order, norms, f, k, make([]item, 0, k))
+	return pop(h, make([]int, k))
 }
 
 // exitSlack is 1 + δ for d-term scores: δ = (4d + 8)·u, u = 2^-53. With
@@ -58,11 +60,14 @@ func TopK(d *core.Dataset, f core.LinearFunc, k int) []int {
 // float64.
 func exitSlack(d int) float64 { return 1 + float64(4*d+8)*0x1p-53 }
 
-// scan fills h (its capacity reused, 1 ≤ k ≤ n) with the k best tuples of
-// d under f and returns it as a min-heap rooted at the worst of them.
+// scan fills h (its capacity reused, 1 ≤ k ≤ len(order)) with the k best
+// of the tuples at the positions of order under f, and returns it as a
+// min-heap rooted at the worst of them, with the number of tuples it
+// scored.
 //
-// It reads the tuples in d.ScanOrder, by descending norm, where norms[j]
-// bounds the norm of every tuple from position j on. By Cauchy–Schwarz a
+// It reads the tuples in order, by descending norm (Dataset.ScanOrder or
+// Dataset.KSkyband), where norms[j] bounds the norm of every tuple from
+// position j on. By Cauchy–Schwarz a
 // tuple t scores at most ‖w‖·‖t‖, so once cut·norms[j] falls strictly
 // below the root's score no tuple from position j on can enter the heap.
 // The comparison must be strict: a tuple whose score equals the root's
@@ -71,9 +76,7 @@ func exitSlack(d int) float64 { return 1 + float64(4*d+8)*0x1p-53 }
 // the bound undercut a score. A weight outside core.Norm's range makes
 // cut +Inf, and a tuple outside it has norm +Inf; either way the test
 // never fires there.
-func scan(d *core.Dataset, f core.LinearFunc, k int, h []item) []item {
-	order, norms := d.ScanOrder()
-	tuples := d.Tuples()
+func scan(tuples []core.Tuple, order []int32, norms []float64, f core.LinearFunc, k int, h []item) ([]item, int) {
 	h = h[:0]
 	for _, i := range order[:k] {
 		t := tuples[i]
@@ -83,7 +86,8 @@ func scan(d *core.Dataset, f core.LinearFunc, k int, h []item) []item {
 	cut := core.Norm(f.W) * exitSlack(len(f.W))
 	root := h[0]
 	norms = norms[:len(order)]
-	for j := k; j < len(order); j++ {
+	j := k
+	for ; j < len(order); j++ {
 		if cut*norms[j] < root.score {
 			break
 		}
@@ -96,7 +100,7 @@ func scan(d *core.Dataset, f core.LinearFunc, k int, h []item) []item {
 		siftDown(h, 0)
 		root = h[0]
 	}
-	return h
+	return h, j
 }
 
 // pop empties the heap into out (len(out) == len(h)) in rank order, best
