@@ -16,9 +16,11 @@ test:
 # (a flight is counted before its last key wakes a waiter) only show up
 # as failures on repeated race runs. core, topk, algo, kset and delta
 # share each dataset's lazily built scan order, dominator counts and
-# k-skyband slot across concurrent queries.
+# k-skyband slot across concurrent queries. The root package is here
+# because rrrd shares each algorithm's Solver, and its arena free-list,
+# across concurrent requests (TestSolverConcurrentUse).
 race:
-	$(GO) test -race ./internal/service/ ./internal/eval/ ./internal/shard/ ./internal/delta/ ./internal/wal/ ./internal/watch/ ./internal/trace/ ./internal/trace/export/ ./internal/core/ ./internal/topk/ ./internal/algo/ ./internal/kset/
+	$(GO) test -race . ./internal/service/ ./internal/eval/ ./internal/shard/ ./internal/delta/ ./internal/wal/ ./internal/watch/ ./internal/trace/ ./internal/trace/export/ ./internal/core/ ./internal/topk/ ./internal/algo/ ./internal/kset/
 	$(GO) test -race -count=10 ./internal/service/
 
 # Fuzz smoke: a short budgeted run of each native fuzz target, catching
@@ -39,7 +41,9 @@ fuzz-smoke:
 # bench.txt as an artifact so every PR leaves a perf data point to compare
 # against. -benchmem feeds the exact allocs/op gate: BenchmarkSolveInto and
 # BenchmarkCachedRepresentativeHTTP (./internal/service/) must stay at
-# 0 allocs/op.
+# 0 allocs/op, and BenchmarkMutateStillExact and
+# BenchmarkRepresentativeMiss2D hold rrrd's still-exact mutation and cache
+# miss paths at their counts.
 bench:
 	$(GO) test -bench . -benchmem -count 5 -run '^$$' . ./internal/service/ ./internal/wal/ ./internal/watch/ | tee bench.txt
 

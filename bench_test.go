@@ -209,6 +209,10 @@ func BenchmarkEstimateRankRegret(b *testing.B) {
 // dataset. BenchmarkSolveBatch8K amortizes one sweep across all of them;
 // BenchmarkSolveSequential8K pays for 8. The ratio is the headline number
 // recorded in EXPERIMENTS.md §4.
+//
+// Each solve benchmark runs one untimed warm-up first, as a long-lived
+// solver would have: otherwise the first solve's arena growth is averaged
+// over b.N, and allocs/op changes with -benchtime.
 var batchKs = []int{5, 10, 20, 35, 50, 75, 100, 150}
 
 func BenchmarkSolveBatch8K(b *testing.B) {
@@ -217,6 +221,9 @@ func BenchmarkSolveBatch8K(b *testing.B) {
 	reqs := make([]rrr.Request, len(batchKs))
 	for i, k := range batchKs {
 		reqs[i] = rrr.Request{K: k}
+	}
+	if _, err := solver.SolveBatch(context.Background(), d, reqs); err != nil {
+		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -233,13 +240,17 @@ func BenchmarkSolveBatch8K(b *testing.B) {
 func BenchmarkSolveSequential8K(b *testing.B) {
 	d := benchDataset(b, "dot", 2000, 2)
 	solver := rrr.New()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	solveAll := func() {
 		for _, k := range batchKs {
 			if _, err := solver.Solve(context.Background(), d, k); err != nil {
 				b.Fatal(err)
 			}
 		}
+	}
+	solveAll()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		solveAll()
 	}
 }
 
@@ -261,6 +272,9 @@ func BenchmarkSequentialSolve(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			d := benchDataset(b, tc.kind, tc.n, tc.d)
 			solver := rrr.New()
+			if _, err := solver.Solve(context.Background(), d, tc.k); err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := solver.Solve(context.Background(), d, tc.k); err != nil {

@@ -13,9 +13,9 @@
 // -delta enables the mutation subsystem (DESIGN.md §8): datasets gain
 // append/delete endpoints with stable tuple IDs and monotonically
 // increasing generations, and each mutation batch classifies every cached
-// answer as still-exact (re-keyed, stays served from cache), repairable
-// (re-solved on the patched candidate pool only) or stale (recomputed
-// lazily). Delta counters appear in /v1/stats and /v1/metrics.
+// answer as still-exact (re-keyed, stays served from cache), repaired
+// (re-solved on the patched candidate pool only) or recomputed
+// (invalidated, and solved again on its next request). Delta counters appear in /v1/stats and /v1/metrics.
 //
 // -watch (with -delta) turns the daemon into a live data product
 // (DESIGN.md §10): GET /v1/watch?dataset=D&k=K&algo=A is a Server-Sent

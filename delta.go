@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"rrr/internal/core"
 	"rrr/internal/delta"
 )
 
@@ -20,34 +19,23 @@ import (
 // mutation.
 func WithDeltaMaintenance() Option { return func(c *config) { c.deltaMaintenance = true } }
 
-// DeltaClass is Revalidate's verdict on a prior result under a mutation.
-type DeltaClass int
+// DeltaClass is Revalidate's verdict on a prior result under a mutation:
+// the delta engine's verdict type, whose String is the lowercase name the
+// daemon's mutation counters and watch events carry.
+type DeltaClass = delta.Class
 
 const (
 	// DeltaStillExact: the prior result is exactly what a fresh solve on
 	// the mutated dataset would produce; no solving work was done.
-	DeltaStillExact DeltaClass = iota
+	DeltaStillExact = delta.StillExact
 	// DeltaRepaired: some inserted tuples could enter a top-k; the
 	// algorithm was re-run on the patched containment pool only, which
 	// reproduces a fresh solve on the deterministic paths.
-	DeltaRepaired
+	DeltaRepaired = delta.Repaired
 	// DeltaRecomputed: a delete hit the containment pool or the dataset
 	// was rescaled; the result is a full fresh solve.
-	DeltaRecomputed
+	DeltaRecomputed = delta.Recomputed
 )
-
-// String returns the lowercase verdict name.
-func (c DeltaClass) String() string {
-	switch c {
-	case DeltaStillExact:
-		return "still-exact"
-	case DeltaRepaired:
-		return "repaired"
-	case DeltaRecomputed:
-		return "recomputed"
-	}
-	return "unknown"
-}
 
 // Delta describes one mutation batch at the normalized-dataset level: the
 // snapshots around it, which tuple IDs appeared and disappeared, and
@@ -161,80 +149,57 @@ func (s *Solver) RevalidateInto(ctx context.Context, d Delta, prev *Result, out 
 	}
 	algorithm := prev.Algorithm.Resolve(d.After.Dims())
 	start := time.Now()
-
-	class, patched := delta.Stale, (*delta.Pool)(nil)
-	if !d.Rescaled {
-		pool := prev.revalPool
-		if pool == nil || pool.K != prev.K {
-			var err error
-			pool, err = delta.BuildPool(ctx, d.Before, prev.K)
-			if err != nil {
-				return s.wrapSolveError(algorithm, start, err)
-			}
-		}
-		class, patched = pool.Classify(&delta.Change{
-			Before:   d.Before,
-			After:    d.After,
-			Inserted: d.Inserted,
-			Deleted:  d.Deleted,
-			Rescaled: d.Rescaled,
-		})
+	class, pool, err := delta.Revalidate(ctx, prev.revalPool, &delta.Change{
+		Before:   d.Before,
+		After:    d.After,
+		Inserted: d.Inserted,
+		Deleted:  d.Deleted,
+		Rescaled: d.Rescaled,
+	}, prev.K)
+	if err != nil {
+		return s.wrapSolveError(algorithm, start, err)
 	}
 
+	// Only the still-exact path may reuse out.Result; the others store a
+	// fresh one.
+	res := out.Result
+	if res == nil || res == prev || class != DeltaStillExact {
+		res = new(Result)
+	}
 	switch class {
-	case delta.StillExact:
-		res := out.Result
-		if res == nil || res == prev {
-			res = new(Result)
-		}
+	case DeltaStillExact:
 		*res = *prev // the IDs slice is shared with prev, exactly as Revalidate always has
 		res.Elapsed = time.Since(start)
-		res.revalPool = patched
-		out.Class, out.Result, out.PoolSize = DeltaStillExact, res, patched.Len()
-		return nil
-	case delta.Repairable:
-		res, err := s.reduceOnPool(ctx, d.After, patched, prev.K, algorithm, start)
-		if err != nil {
-			return err
-		}
-		out.Class, out.Result, out.PoolSize = DeltaRepaired, res, patched.Len()
-		return nil
+		res.revalPool = pool
+	case DeltaRepaired:
+		err = s.reduceOnPool(ctx, d.After, pool, prev.K, algorithm, start, res)
 	default:
-		res := new(Result)
-		if err := s.solveInto(ctx, d.After, prev.K, algorithm, res); err != nil {
-			return err
-		}
-		out.Class, out.Result, out.PoolSize = DeltaRecomputed, res, 0
-		return nil
+		err = s.solveInto(ctx, d.After, prev.K, algorithm, res)
 	}
+	if err != nil {
+		return err
+	}
+	out.Class, out.Result, out.PoolSize = class, res, pool.Len()
+	return nil
 }
 
-// reduceOnPool re-runs only the reduce phase: the resolved algorithm on
-// the containment pool's tuples. Because the pool provably contains every
-// k-set member of the full dataset, the deterministic algorithms return
-// exactly the full-dataset answer.
-func (s *Solver) reduceOnPool(ctx context.Context, after *Dataset, pool *delta.Pool, k int, algorithm Algorithm, start time.Time) (*Result, error) {
+// reduceOnPool re-runs only the reduce phase into res: the resolved
+// algorithm on the containment pool's repair input. Because the pool
+// provably contains every k-set member of the full dataset, the
+// deterministic algorithms return exactly the full-dataset answer.
+func (s *Solver) reduceOnPool(ctx context.Context, after *Dataset, pool *delta.Pool, k int, algorithm Algorithm, start time.Time, res *Result) error {
 	if err := validateDims(algorithm, after.Dims()); err != nil {
-		return nil, err
+		return err
 	}
-	runData := after
-	if pool.Len() < after.N() {
-		tuples, err := after.Subset(pool.IDs)
-		if err != nil {
-			return nil, fmt.Errorf("rrr: assembling repair pool: %w", err)
-		}
-		reduced, err := core.FromTuples(tuples)
-		if err != nil {
-			return nil, fmt.Errorf("rrr: assembling repair pool: %w", err)
-		}
-		runData = reduced
+	runData, err := pool.RepairData(after)
+	if err != nil {
+		return fmt.Errorf("rrr: %w", err)
 	}
 	arena := s.arenas.get()
 	defer s.arenas.put(arena)
-	res := new(Result)
 	if err := s.solveOnInto(ctx, runData, k, algorithm, start, arena, res); err != nil {
-		return nil, err
+		return err
 	}
 	res.revalPool = pool
-	return res, nil
+	return nil
 }

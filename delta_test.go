@@ -443,3 +443,74 @@ func TestPersistedMutationEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestMutateSequenceMatchesFreshSolve drives rrrd's own maintenance path —
+// Service.Mutate, where the dataset's maintainer classifies every cached
+// key and repairs run on the service's solvers — through seeded random
+// mutation sequences, and checks after every batch that each served key
+// equals a fresh solve of the entry's data. The grid is the one
+// TestPersistedMutationEquivalence runs, with three rank targets cached at
+// once; across the run every class must occur.
+func TestMutateSequenceMatchesFreshSolve(t *testing.T) {
+	ctx := context.Background()
+	const steps, seed = 12, 7
+	ks := []int{5, 8, 13}
+	cases := []struct {
+		algo rrr.Algorithm
+		dims int
+	}{
+		{rrr.Algo2DRRR, 2},
+		{rrr.AlgoMDRC, 3},
+	}
+	var total service.MutationStats
+	for _, kind := range []string{"independent", "correlated", "anticorrelated"} {
+		for _, tc := range cases {
+			name := kind + "/" + string(tc.algo)
+			svc := service.New(service.Config{Seed: seed, DeltaMaintenance: true})
+			if _, err := svc.Registry().Generate("d", kind, 220, tc.dims, 5); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			fresh := rrr.New(rrr.WithSeed(seed), rrr.WithAlgorithm(tc.algo))
+			rng := rand.New(rand.NewSource(int64(len(kind))*31 + int64(tc.dims)))
+			var served []int
+			for step := 0; step <= steps; step++ {
+				e, err := svc.Registry().Get("d")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if step > 0 {
+					m, err := svc.Mutate(ctx, "d", serviceBatch(t, rng, e, served))
+					if err != nil {
+						t.Fatalf("%s step %d: %v", name, step, err)
+					}
+					total.Revalidated += m.Stats.Revalidated
+					total.Repaired += m.Stats.Repaired
+					total.Recomputed += m.Stats.Recomputed
+					if e, err = svc.Registry().Get("d"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, k := range ks {
+					rep, err := svc.Representative(ctx, "d", k, string(tc.algo))
+					if err != nil {
+						t.Fatalf("%s step %d k=%d: %v", name, step, k, err)
+					}
+					want, err := fresh.Solve(ctx, e.Data, k)
+					if err != nil {
+						t.Fatalf("%s step %d k=%d: fresh solve: %v", name, step, k, err)
+					}
+					if !sameIDs(rep.IDs, want.IDs) {
+						t.Fatalf("%s step %d k=%d: served %v, fresh solve %v", name, step, k, rep.IDs, want.IDs)
+					}
+					if k == ks[1] {
+						served = rep.IDs
+					}
+				}
+			}
+		}
+	}
+	t.Logf("revalidated=%d repaired=%d recomputed=%d", total.Revalidated, total.Repaired, total.Recomputed)
+	if total.Revalidated == 0 || total.Repaired == 0 || total.Recomputed == 0 {
+		t.Fatalf("a class never occurred: %+v", total)
+	}
+}

@@ -35,12 +35,9 @@
 // per-item results identical to the equivalent sequential calls.
 // WithDeltaMaintenance and Revalidate carry a result across dataset
 // mutations, re-solving only when an exact containment test says the
-// answer may have changed (DESIGN.md §8). The pre-context entry points
-// (Representative, MinimalKForSize, Options) remain as deprecated
-// wrappers. Raw data
-// with mixed "higher is better"/"lower is better" attributes can be loaded
-// and normalized with the Table helpers (DOTLike, BNLike, ReadCSV,
-// Table.Normalize).
+// answer may have changed (DESIGN.md §8). Raw data with mixed "higher is
+// better"/"lower is better" attributes can be loaded and normalized with
+// the Table helpers (DOTLike, BNLike, ReadCSV, Table.Normalize).
 //
 // # Guarantees
 //

@@ -202,7 +202,7 @@ func TestClassifyRepairable(t *testing.T) {
 	// (1,1) anchor: it crosses into the pool.
 	pool, ch := poolAndChange(t, delta.Batch{Append: [][]float64{{0.95, 0.97}}}, 2)
 	class, next := pool.Classify(ch)
-	if class != delta.Repairable {
+	if class != delta.Repaired {
 		t.Fatalf("class = %v, want repairable", class)
 	}
 	if !next.Contains(ch.Inserted[0]) {
@@ -240,7 +240,7 @@ func TestClassifyStale(t *testing.T) {
 		t.Fatalf("deleting %d rescaled the table; pick a different victim", victim)
 	}
 	class, next := pool.Classify(ch)
-	if class != delta.Stale || next != nil {
+	if class != delta.Recomputed || next != nil {
 		t.Fatalf("class = %v pool = %v, want stale/nil", class, next)
 	}
 	// Rescales are stale regardless of pool membership.
@@ -254,7 +254,7 @@ func TestClassifyStale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if class, _ := pool2.Classify(ch2); class != delta.Stale {
+	if class, _ := pool2.Classify(ch2); class != delta.Recomputed {
 		t.Fatalf("rescale class = %v, want stale", class)
 	}
 }
@@ -284,7 +284,7 @@ func TestMaintainerApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outcomes[2].Class != delta.Repairable {
+	if outcomes[2].Class != delta.Repaired {
 		t.Fatalf("class = %v, want repairable", outcomes[2].Class)
 	}
 	if !outcomes[2].Pool.Contains(ch.Inserted[0]) {
@@ -332,14 +332,14 @@ func TestMaintainerGenerationGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out[2].Class != delta.Stale {
+	if out[2].Class != delta.Recomputed {
 		t.Fatalf("gap-crossing delete classified %v, want stale", out[2].Class)
 	}
 }
 
 func TestClassString(t *testing.T) {
-	if delta.StillExact.String() != "still-exact" || delta.Repairable.String() != "repairable" ||
-		delta.Stale.String() != "stale" || delta.Class(42).String() != "unknown" {
+	if delta.StillExact.String() != "still-exact" || delta.Repaired.String() != "repaired" ||
+		delta.Recomputed.String() != "recomputed" || delta.Class(42).String() != "unknown" {
 		t.Fatal("Class.String mismatch")
 	}
 }

@@ -14,10 +14,10 @@
 //
 //  1. If the raw normalization bounds moved, every surviving tuple's
 //     normalized coordinates change and no containment argument relates
-//     the snapshots: the answer is STALE.
+//     the snapshots: the answer is RECOMPUTED.
 //  2. Deleting u ∉ C removes a tuple that is in no top-k, so
 //     topk_{D′}(f) = topk_D(f) for every f. Deleting u ∈ C can promote
-//     tuples from below rank k in ways the pool cannot see: STALE.
+//     tuples from below rank k in ways the pool cannot see: RECOMPUTED.
 //  3. Inserting t that is componentwise dominated (core.AlwaysOutranks)
 //     by at least k pool members can never enter any top-k — and testing
 //     against the pool is as complete as testing against all of D′,
@@ -30,13 +30,13 @@
 //     deletion lifts it by strictly fewer positions than its slack.
 //     Hence C′ = C ∪ {crossing inserts} is a containment pool of D′ and
 //     re-running only the reduce phase on C′ reproduces a fresh solve:
-//     the answer is REPAIRABLE.
+//     the answer is REPAIRED.
 //
 // When no insert crosses and no delete was in the pool (and bounds held),
 // every top-k of D′ equals its D counterpart, so the cached answer is the
 // answer a fresh solve would produce — STILL-EXACT, bit for bit on the
 // deterministic paths (2DRRR, MDRC) and draw-for-draw for seeded MDRRR.
-// A corollary: the still-exact and repairable paths can never strand a
+// A corollary: the still-exact and repaired paths can never strand a
 // cached k above the dataset size, because at most n−k tuples live
 // outside a pool and deletes are confined to them.
 package delta
@@ -132,6 +132,9 @@ type Log struct {
 	data    *core.Dataset
 	gen     int64
 	batches int64
+	// maint carries the revalidation pools across this log's batches; it
+	// lives and dies with the log.
+	maint Maintainer
 }
 
 // NewLog starts a mutation log at the given generation. The table is
@@ -144,6 +147,10 @@ func NewLog(t *dataset.Table, gen int64) (*Log, error) {
 	}
 	return &Log{table: t, data: data, gen: gen}, nil
 }
+
+// Maintainer returns the log's maintainer: the revalidation pools of the
+// cached answers over this log's generations.
+func (l *Log) Maintainer() *Maintainer { return &l.maint }
 
 // Gen returns the current generation.
 func (l *Log) Gen() int64 {

@@ -10,8 +10,9 @@ import (
 	"rrr/internal/shard"
 )
 
-// Class is the maintainer's verdict on a cached answer under one mutation
-// batch. See the package comment for the containment argument behind each.
+// Class is the verdict on a cached answer under one mutation batch, in
+// the vocabulary the library (rrr.DeltaClass aliases it) and the wire
+// share. See the package comment for the containment argument behind each.
 type Class int
 
 const (
@@ -19,24 +20,25 @@ const (
 	// containment pool — the cached answer is exactly what a fresh solve
 	// would produce.
 	StillExact Class = iota
-	// Repairable: some inserts may enter a top-k, but nothing else moved;
+	// Repaired: some inserts may enter a top-k, but nothing else moved;
 	// re-running only the reduce phase on the patched pool reproduces a
 	// fresh solve.
-	Repairable
-	// Stale: a delete hit the pool or the normalization bounds moved; only
-	// a full recompute is sound.
-	Stale
+	Repaired
+	// Recomputed: a delete hit the pool or the normalization bounds moved;
+	// only a full recompute is sound.
+	Recomputed
 )
 
-// String returns the lowercase verdict name used in logs and counters.
+// String returns the lowercase verdict name used in logs, counters and
+// watch events.
 func (c Class) String() string {
 	switch c {
 	case StillExact:
 		return "still-exact"
-	case Repairable:
-		return "repairable"
-	case Stale:
-		return "stale"
+	case Repaired:
+		return "repaired"
+	case Recomputed:
+		return "recomputed"
 	}
 	return "unknown"
 }
@@ -122,14 +124,14 @@ func BuildPool(ctx context.Context, d *core.Dataset, k int) (*Pool, error) {
 // Classify applies the containment tests of the package comment to one
 // change, returning the verdict and the pool valid for ch.After: the
 // receiver itself when still-exact, the patched pool (receiver ∪ crossing
-// inserts) when repairable, nil when stale.
+// inserts) when repaired, nil when recomputed.
 func (p *Pool) Classify(ch *Change) (Class, *Pool) {
 	if p == nil || ch == nil || ch.Rescaled {
-		return Stale, nil
+		return Recomputed, nil
 	}
 	for _, id := range ch.Deleted {
 		if p.members[id] {
-			return Stale, nil
+			return Recomputed, nil
 		}
 	}
 	var crossing []int
@@ -138,7 +140,7 @@ func (p *Pool) Classify(ch *Change) (Class, *Pool) {
 		if !ok {
 			// An insert the After snapshot cannot resolve means the change
 			// is inconsistent; recompute rather than trust it.
-			return Stale, nil
+			return Recomputed, nil
 		}
 		if !p.dominatedByK(t, ch.After) {
 			crossing = append(crossing, id)
@@ -151,7 +153,47 @@ func (p *Pool) Classify(ch *Change) (Class, *Pool) {
 	merged = append(merged, p.IDs...)
 	merged = append(merged, crossing...)
 	sort.Ints(merged)
-	return Repairable, newPool(p.K, merged)
+	return Repaired, newPool(p.K, merged)
+}
+
+// Revalidate is the one revalidation step of both front-ends
+// (Maintainer.Apply for the daemon, rrr's Solver.RevalidateInto for the
+// library): it carries the answer at rank target k across ch, reusing
+// pool when it was built for k and building one from ch.Before otherwise.
+// A rescaled change is recomputed without building anything. The returned
+// pool is valid for ch.After (nil when recomputed). A failed build returns
+// Recomputed with the error; what an error means is the caller's rule.
+func Revalidate(ctx context.Context, pool *Pool, ch *Change, k int) (Class, *Pool, error) {
+	if ch.Rescaled {
+		return Recomputed, nil, nil
+	}
+	if pool == nil || pool.K != k {
+		var err error
+		if pool, err = BuildPool(ctx, ch.Before, k); err != nil {
+			return Recomputed, nil, err
+		}
+	}
+	class, next := pool.Classify(ch)
+	return class, next, nil
+}
+
+// RepairData returns the input a repair solves on: the pool's tuples of
+// after, as a dataset — after itself when the pool holds every tuple.
+// Because the pool contains every k-set member of after, the
+// deterministic algorithms return exactly after's answer on it.
+func (p *Pool) RepairData(after *core.Dataset) (*core.Dataset, error) {
+	if p.Len() >= after.N() {
+		return after, nil
+	}
+	tuples, err := after.Subset(p.IDs)
+	if err != nil {
+		return nil, fmt.Errorf("delta: assembling repair pool: %w", err)
+	}
+	data, err := core.FromTuples(tuples)
+	if err != nil {
+		return nil, fmt.Errorf("delta: assembling repair pool: %w", err)
+	}
+	return data, nil
 }
 
 // dominatedByK reports whether at least K pool members componentwise
@@ -180,14 +222,16 @@ func (p *Pool) dominatedByK(t core.Tuple, after *core.Dataset) bool {
 type Outcome struct {
 	Class Class
 	// Pool is the containment pool valid for the new generation: the
-	// reduce-phase input for Repairable, the unchanged pool for
-	// StillExact, nil for Stale.
+	// reduce-phase input for Repaired, the unchanged pool for StillExact,
+	// nil for Recomputed.
 	Pool *Pool
 }
 
 // Maintainer tracks the revalidation pools of one dataset across its
-// mutation log, one pool per rank target with live cached answers. It is
-// safe for concurrent use.
+// mutation log, one pool per rank target with live cached answers. Every
+// Log owns one (Log.Maintainer), shared by all of a registration's
+// generations. The zero value is ready to use, and it is safe for
+// concurrent use.
 type Maintainer struct {
 	mu    sync.Mutex
 	pools map[int]*Pool
@@ -200,23 +244,21 @@ type Maintainer struct {
 }
 
 // NewMaintainer returns an empty maintainer.
-func NewMaintainer() *Maintainer {
-	return &Maintainer{pools: make(map[int]*Pool)}
-}
+func NewMaintainer() *Maintainer { return new(Maintainer) }
 
 // Apply advances the maintainer across one applied batch: for every rank
 // target in ks (the targets with cached answers at the pre-batch
-// generation) it classifies the cached answers and rolls the pool forward
-// to ch's generation. Pools for targets absent from ks are dropped — no
-// cached answer needs them anymore. Missing pools are built lazily from
-// the Before snapshot, so a maintainer created after the first solves
-// still classifies exactly.
+// generation) it runs Revalidate and rolls the pool forward to ch's
+// generation. Pools for targets absent from ks are dropped — no cached
+// answer needs them anymore. Missing pools are built lazily from the
+// Before snapshot, so a maintainer created after the first solves still
+// classifies exactly.
 //
 // A pool that fails to build (cancellation aside) degrades that target to
-// Stale rather than failing the whole batch — the mutation is already
-// applied; classification is bookkeeping about cached answers. A dead
-// context aborts with its error and the caller should treat every target
-// as stale.
+// Recomputed rather than failing the whole batch — the mutation is
+// already applied; classification is bookkeeping about cached answers. A
+// dead context aborts with its error and the caller should treat every
+// target as recomputed.
 func (m *Maintainer) Apply(ctx context.Context, ch *Change, ks []int) (map[int]Outcome, error) {
 	if ch == nil {
 		return nil, fmt.Errorf("delta: nil change")
@@ -228,7 +270,10 @@ func (m *Maintainer) Apply(ctx context.Context, ch *Change, ks []int) (map[int]O
 	// means every pool must be rebuilt from ch.Before — which is always
 	// the correct pre-batch snapshot for classifying ch, whatever state
 	// the maintainer was left in.
-	continuous := m.gen == ch.PrevGen
+	pools := m.pools
+	if m.gen != ch.PrevGen {
+		pools = nil
+	}
 	out := make(map[int]Outcome, len(ks))
 	next := make(map[int]*Pool, len(ks))
 	for _, k := range ks {
@@ -238,22 +283,10 @@ func (m *Maintainer) Apply(ctx context.Context, ch *Change, ks []int) (map[int]O
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("delta: maintenance canceled: %w", err)
 		}
-		var pool *Pool
-		if continuous {
-			pool = m.pools[k]
+		class, advanced, err := Revalidate(ctx, pools[k], ch, k)
+		if err != nil && ctx.Err() != nil {
+			return nil, err
 		}
-		if pool == nil && !ch.Rescaled {
-			var err error
-			pool, err = BuildPool(ctx, ch.Before, k)
-			if err != nil {
-				if ctx.Err() != nil {
-					return nil, err
-				}
-				out[k] = Outcome{Class: Stale}
-				continue
-			}
-		}
-		class, advanced := pool.Classify(ch)
 		out[k] = Outcome{Class: class, Pool: advanced}
 		if advanced != nil {
 			next[k] = advanced

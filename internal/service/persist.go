@@ -59,20 +59,9 @@ func (r *Registry) Restore(snap *wal.Snapshot) error {
 		if ds.Gen > snap.GenWatermark {
 			return fmt.Errorf("service: snapshot dataset %q at generation %d exceeds the watermark %d", ds.Name, ds.Gen, snap.GenWatermark)
 		}
-		e := &Entry{Name: ds.Name, Table: ds.Table, Kind: ds.Kind, Gen: ds.Gen}
-		if deltaOn {
-			log, err := delta.NewLog(ds.Table, ds.Gen)
-			if err != nil {
-				return fmt.Errorf("service: restoring dataset %q: %w", ds.Name, err)
-			}
-			_, e.Data, _ = log.Snapshot()
-			e.Log = log
-		} else {
-			data, err := ds.Table.Normalize()
-			if err != nil {
-				return fmt.Errorf("service: restoring dataset %q: %w", ds.Name, err)
-			}
-			e.Data = data
+		e, err := newEntry(ds.Name, ds.Kind, ds.Table, ds.Gen, deltaOn)
+		if err != nil {
+			return fmt.Errorf("service: restoring dataset %q: %w", ds.Name, err)
 		}
 		restored = append(restored, e)
 	}
@@ -122,9 +111,8 @@ func (r *Registry) replayRecord(rec wal.Record) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("service: replaying generation %d of dataset %q: %w", rec.Gen, rec.Dataset, err)
 	}
-	next := &Entry{Name: e.Name, Table: ch.Table, Data: ch.After, Kind: e.Kind, Gen: ch.Gen, Log: e.Log}
 	r.mu.Lock()
-	r.entries[rec.Dataset] = next
+	r.entries[rec.Dataset] = e.successor(ch)
 	if rec.Gen > r.nextGen {
 		r.nextGen = rec.Gen
 	}

@@ -85,18 +85,8 @@ func (r *Registry) register(name string, t *dataset.Table, kind string) (*Entry,
 	// Normalization is the expensive part; do it outside the registry
 	// lock. The generation is reserved up front — a failed registration
 	// wastes one, which the monotone counter absorbs harmlessly.
-	gen := r.reserveGen()
-	var (
-		data *core.Dataset
-		log  *delta.Log
-		err  error
-	)
-	if r.deltaEnabled() {
-		if log, err = delta.NewLog(t, gen); err != nil {
-			return nil, fmt.Errorf("service: dataset %q: %w", name, err)
-		}
-		_, data, _ = log.Snapshot()
-	} else if data, err = t.Normalize(); err != nil {
+	e, err := newEntry(name, kind, t, r.reserveGen(), r.deltaEnabled())
+	if err != nil {
 		return nil, fmt.Errorf("service: dataset %q: %w", name, err)
 	}
 	r.mu.Lock()
@@ -104,9 +94,31 @@ func (r *Registry) register(name string, t *dataset.Table, kind string) (*Entry,
 	if _, dup := r.entries[name]; dup {
 		return nil, fmt.Errorf("service: dataset %q already registered: %w", name, ErrConflict)
 	}
-	e := &Entry{Name: name, Table: t, Data: data, Kind: kind, Gen: gen, Log: log}
 	r.entries[name] = e
 	return e, nil
+}
+
+// newEntry builds a registration's first entry at gen: with a mutation
+// log (which normalizes the table for its first snapshot) when withLog,
+// otherwise with a plain normalize. Register and Restore share it.
+func newEntry(name, kind string, t *dataset.Table, gen int64, withLog bool) (*Entry, error) {
+	e := &Entry{Name: name, Table: t, Kind: kind, Gen: gen}
+	var err error
+	if withLog {
+		if e.Log, err = delta.NewLog(t, gen); err != nil {
+			return nil, err
+		}
+		_, e.Data, _ = e.Log.Snapshot()
+	} else if e.Data, err = t.Normalize(); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// successor is the entry ch advances e to: the same registration and
+// log at the batch's generation. Mutate and WAL replay share it.
+func (e *Entry) successor(ch *delta.Change) *Entry {
+	return &Entry{Name: e.Name, Table: ch.Table, Data: ch.After, Kind: e.Kind, Gen: ch.Gen, Log: e.Log}
 }
 
 func (r *Registry) deltaEnabled() bool {
@@ -192,7 +204,7 @@ func (r *Registry) Mutate(ctx context.Context, name string, b delta.Batch) (*Ent
 		}
 		return nil, nil, fmt.Errorf("service: dataset %q: %v: %w", name, err, ErrBadRequest)
 	}
-	next := &Entry{Name: e.Name, Table: ch.Table, Data: ch.After, Kind: e.Kind, Gen: ch.Gen, Log: e.Log}
+	next := e.successor(ch)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	cur, ok := r.entries[name]

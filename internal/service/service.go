@@ -1,7 +1,8 @@
 // Package service is the serving layer of the RRR reproduction: it wraps
-// the batch library (rrr.Representative and the internal/eval estimators)
-// behind a dataset registry, a keyed precomputation cache with singleflight
-// semantics, and the JSON/HTTP handlers the rrrd daemon mounts.
+// the batch library (one long-lived rrr.Solver per algorithm and the
+// internal/eval estimators) behind a dataset registry, a keyed
+// precomputation cache with singleflight semantics, and the JSON/HTTP
+// handlers the rrrd daemon mounts.
 //
 // The paper's workload is precompute-once, serve-many: a 10-tuple
 // representative of a flight database answers "show me a top-100 flight"
@@ -28,7 +29,6 @@ import (
 	"time"
 
 	"rrr"
-	"rrr/internal/core"
 	"rrr/internal/delta"
 	"rrr/internal/trace"
 	"rrr/internal/wal"
@@ -55,7 +55,9 @@ type Config struct {
 	Seed int64
 	// SolverOptions is extra solver tuning applied to every computation
 	// (e.g. rrr.WithNodeBudget to bound the worst-case solve the daemon
-	// will attempt). The algorithm and seed are appended per request.
+	// will attempt). Each algorithm's long-lived Solver is built from
+	// these options followed by the seed and the algorithm, so the
+	// algorithm always wins.
 	SolverOptions []rrr.Option
 	// MaxConcurrentSolves bounds simultaneously running computations
 	// (<= 0 defaults to GOMAXPROCS).
@@ -63,10 +65,10 @@ type Config struct {
 	// DeltaMaintenance attaches a mutation log to every registered
 	// dataset and enables Mutate (and the daemon's append/delete
 	// endpoints): mutation batches advance datasets generation by
-	// generation, and a per-dataset maintainer classifies every cached
-	// answer as still-exact (re-keyed to the new generation), cheaply
-	// repairable (reduce phase re-run on the patched candidate pool), or
-	// stale (invalidated; recomputed lazily on next request).
+	// generation, and the log's maintainer classifies every cached answer
+	// as still-exact (re-keyed to the new generation), repaired (reduce
+	// phase re-run on the patched candidate pool), or recomputed
+	// (invalidated; recomputed lazily on next request).
 	DeltaMaintenance bool
 	// Watch enables the live-update push subsystem (DESIGN.md §10):
 	// Service.Watch (and the daemon's GET /v1/watch SSE endpoint) streams
@@ -105,12 +107,13 @@ type Service struct {
 	// store is the durability layer (persist.go); nil for a memory-only
 	// service, the historical behavior.
 	store *wal.Store
-
-	// maintainers holds one delta maintainer per mutable dataset, created
-	// on first mutation and dropped with the dataset. Nil map when delta
-	// maintenance is off.
-	maintMu     sync.Mutex
-	maintainers map[string]*delta.Maintainer
+	// solvers holds one long-lived Solver per resolved algorithm, in
+	// solverAlgos order, each built on its first use (solverFor): every
+	// miss, batch, repair and watch recompute runs on it, so its arenas
+	// stay warm across requests, and a service that never solves — a
+	// recovery boot — builds none.
+	solverMu sync.Mutex
+	solvers  [len(solverAlgos)]*rrr.Solver
 
 	// hub is the live-update event hub (nil when Config.Watch is off).
 	// watchCtx governs watch-triggered recompute solves; CloseWatchers
@@ -131,7 +134,6 @@ func New(cfg Config) *Service {
 	}
 	if cfg.DeltaMaintenance {
 		s.registry.EnableDeltaMaintenance()
-		s.maintainers = make(map[string]*delta.Maintainer)
 	}
 	if cfg.Watch {
 		s.hub = watch.NewHub(watch.Options{
@@ -144,13 +146,25 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// solver builds the per-request Solver: the service-wide base options,
-// then the seed and the request's resolved algorithm (last wins on
-// conflicts, so a request can never un-pin its algorithm).
-func (s *Service) solver(algorithm rrr.Algorithm) *rrr.Solver {
-	opts := slices.Clone(s.cfg.SolverOptions)
-	opts = append(opts, rrr.WithSeed(s.cfg.Seed), rrr.WithAlgorithm(algorithm))
-	return rrr.New(opts...)
+// solverAlgos are the resolved algorithms the service keeps a Solver for.
+var solverAlgos = [...]rrr.Algorithm{rrr.Algo2DRRR, rrr.AlgoMDRRR, rrr.AlgoMDRC}
+
+// solverFor returns the long-lived Solver of a resolved algorithm,
+// building it on first use from the base options, then the seed and the
+// algorithm (last wins, so an option can never un-pin it). It returns nil
+// for any other name.
+func (s *Service) solverFor(algo rrr.Algorithm) *rrr.Solver {
+	i := slices.Index(solverAlgos[:], algo)
+	if i < 0 {
+		return nil
+	}
+	s.solverMu.Lock()
+	defer s.solverMu.Unlock()
+	if s.solvers[i] == nil {
+		opts := append(slices.Clone(s.cfg.SolverOptions), rrr.WithSeed(s.cfg.Seed), rrr.WithAlgorithm(algo))
+		s.solvers[i] = rrr.New(opts...)
+	}
+	return s.solvers[i]
 }
 
 // Registry exposes the dataset registry for preloading and tests.
@@ -159,17 +173,12 @@ func (s *Service) Registry() *Registry { return s.registry }
 // Metrics exposes the operational counters.
 func (s *Service) Metrics() *Metrics { return s.metrics }
 
-// RemoveDataset unregisters a dataset and invalidates its cached results
-// and delta maintenance state.
+// RemoveDataset unregisters a dataset and invalidates its cached results;
+// its delta maintenance state goes with its log.
 func (s *Service) RemoveDataset(name string) bool {
 	ok := s.registry.Remove(name)
 	if ok {
 		s.cache.InvalidateDataset(name)
-		if s.maintainers != nil {
-			s.maintMu.Lock()
-			delete(s.maintainers, name)
-			s.maintMu.Unlock()
-		}
 		if s.hub != nil {
 			s.hub.CloseDataset(name, closingEvent("dataset removed"))
 		}
@@ -247,81 +256,48 @@ func (s *Service) Mutate(ctx context.Context, name string, b delta.Batch) (*Muta
 	}, nil
 }
 
-// maintainerFor returns (creating if needed) the named dataset's
-// maintainer.
-func (s *Service) maintainerFor(name string) *delta.Maintainer {
-	s.maintMu.Lock()
-	defer s.maintMu.Unlock()
-	m, ok := s.maintainers[name]
-	if !ok {
-		m = delta.NewMaintainer()
-		s.maintainers[name] = m
-	}
-	return m
-}
-
 // maintain classifies every cached answer of the pre-batch generation
 // (ch.PrevGen) and carries the survivors into ch.Gen. Dual (negative-K)
-// entries are always invalidated: their answer is a search across many
+// entries are always recomputed: their answer is a search across many
 // rank targets and no single pool bounds it.
 //
-// The returned map records, per new-generation key, the classification
-// that actually *took effect* — a still-exact answer whose re-key lost a
-// race, or a repair that failed, degrades to stale — which is exactly the
-// signal the watch hub needs to choose between a heartbeat, a push of the
-// repaired answer, and a recompute.
+// Each key's class is decided once, as what actually took effect: a key
+// is still-exact only if its re-key lands (a request at the new
+// generation may have raced ahead and claimed the key with its own
+// computation), repaired only if the repair publishes, and recomputed
+// otherwise. The tallies and the returned per-key map both derive from
+// that one value; the map is the signal the watch hub needs to choose
+// between a heartbeat, a push of the repaired answer, and a recompute.
 func (s *Service) maintain(ctx context.Context, cur *Entry, ch *delta.Change) (MutationStats, map[Key]delta.Class) {
 	var stats MutationStats
 	var classes map[Key]delta.Class
 	keys := s.cache.CompletedKeys(cur.Name, ch.PrevGen)
 	if len(keys) != 0 {
 		classes = make(map[Key]delta.Class, len(keys))
-		var ks []int
+		ks := make([]int, 0, len(keys))
 		for _, key := range keys {
 			if key.K > 0 {
 				ks = append(ks, key.K)
 			}
 		}
-		outcomes, err := s.maintainerFor(cur.Name).Apply(ctx, ch, ks)
-		if err != nil {
-			// Maintenance interrupted: every cached answer degrades to
-			// stale; the mutation itself already succeeded.
-			outcomes = nil
-		}
+		// An interrupted maintenance (err) leaves outcomes nil, so every
+		// cached answer is recomputed; the mutation itself already
+		// succeeded. Dual keys are never classified.
+		outcomes, _ := cur.Log.Maintainer().Apply(ctx, ch, ks)
 		for _, key := range keys {
 			newKey := key
 			newKey.Gen = ch.Gen
+			class := delta.Recomputed
 			outcome, classified := outcomes[key.K]
-			if key.K < 0 || !classified {
-				stats.Recomputed++
-				classes[newKey] = delta.Stale
-				continue
+			switch {
+			case !classified:
+			case outcome.Class == delta.StillExact && s.cache.Rekey(key, newKey):
+				class = delta.StillExact
+			case outcome.Class == delta.Repaired && s.repair(ctx, cur, newKey, outcome.Pool):
+				class = delta.Repaired
 			}
-			switch outcome.Class {
-			case delta.StillExact:
-				// Count the carry-over only if it actually lands: a
-				// request at the new generation may have raced ahead and
-				// claimed the key with its own computation, in which case
-				// that flight — a recompute — wins.
-				if s.cache.Rekey(key, newKey) {
-					stats.Revalidated++
-					classes[newKey] = delta.StillExact
-				} else {
-					stats.Recomputed++
-					classes[newKey] = delta.Stale
-				}
-			case delta.Repairable:
-				if s.repair(ctx, cur, newKey, outcome.Pool) {
-					stats.Repaired++
-					classes[newKey] = delta.Repairable
-				} else {
-					stats.Recomputed++
-					classes[newKey] = delta.Stale
-				}
-			default:
-				stats.Recomputed++
-				classes[newKey] = delta.Stale
-			}
+			classes[newKey] = class
+			stats.count(class)
 		}
 	}
 	// Whatever remains at the old generation is unreachable; sweep it.
@@ -329,29 +305,40 @@ func (s *Service) maintain(ctx context.Context, cur *Entry, ch *delta.Change) (M
 	return stats, classes
 }
 
-// repair re-runs only the reduce phase — the cached entry's algorithm on
-// the patched candidate pool — and publishes the result under the
-// new-generation key. Because the pool provably contains every k-set
-// member of the mutated dataset, the deterministic algorithms reproduce a
-// fresh full solve bit for bit. Reports whether the repair was published.
+// count tallies one key's effective class.
+func (m *MutationStats) count(class delta.Class) {
+	switch class {
+	case delta.StillExact:
+		m.Revalidated++
+	case delta.Repaired:
+		m.Repaired++
+	default:
+		m.Recomputed++
+	}
+}
+
+// repair re-runs only the reduce phase — the cached entry's algorithm, on
+// its long-lived solver, over the patched pool's repair input — and
+// publishes the result under the new-generation key. Because the pool
+// provably contains every k-set member of the mutated dataset, the
+// deterministic algorithms reproduce a fresh full solve bit for bit. A
+// key whose algorithm has no solver (a warm-cache file can carry any
+// name) fails the repair and is recomputed. Reports whether the repair
+// was published.
 func (s *Service) repair(ctx context.Context, cur *Entry, key Key, pool *delta.Pool) bool {
 	rec, parent := trace.FromContext(ctx)
 	sid := rec.StartShard("delta_repair", parent, key.K)
 	defer rec.End(sid)
-	runData := cur.Data
-	if pool.Len() < cur.Data.N() {
-		tuples, err := cur.Data.Subset(pool.IDs)
-		if err != nil {
-			return false
-		}
-		reduced, err := core.FromTuples(tuples)
-		if err != nil {
-			return false
-		}
-		runData = reduced
+	solver := s.solverFor(rrr.Algorithm(key.Algo))
+	if solver == nil {
+		return false
+	}
+	data, err := pool.RepairData(cur.Data)
+	if err != nil {
+		return false
 	}
 	start := time.Now()
-	res, err := s.solver(rrr.Algorithm(key.Algo)).Solve(ctx, runData, key.K)
+	res, err := solver.Solve(ctx, data, key.K)
 	if err != nil {
 		return false
 	}
@@ -444,13 +431,13 @@ func (s *Service) key(entry *Entry, k int, algo rrr.Algorithm) Key {
 // shared solve path of Representative, watch snapshots, and
 // watch-triggered recomputes. ctx bounds this caller's wait, not the
 // computation (Cache.Do detaches it). Completed keys are answered by the
-// cache's fast path before any per-request solver or closure is built.
+// cache's fast path before any closure is built.
 func (s *Service) solveEntry(ctx context.Context, entry *Entry, k int, algo rrr.Algorithm) (CachedResult, error) {
 	key := s.key(entry, k, algo)
 	if res, ok := s.cache.Hit(key); ok {
 		return res, nil
 	}
-	solver := s.solver(algo)
+	solver := s.solverFor(algo)
 	return s.cache.Do(ctx, key, func(runCtx context.Context) ([]int, ResultStats, error) {
 		res, err := solver.Solve(runCtx, entry.Data, k)
 		if err != nil {
@@ -569,7 +556,7 @@ func (s *Service) Batch(ctx context.Context, name string, algoName string, queri
 		return items, algo, nil
 	}
 
-	solver := s.solver(algo)
+	solver := s.solverFor(algo)
 	data := entry.Data
 	results, errs := s.cache.DoBatch(ctx, keys, func(runCtx context.Context, owned []Key, fill BatchFill) {
 		reqs := make([]rrr.Request, len(owned))

@@ -92,7 +92,7 @@ func (s *Service) CloseWatchers(reason string) {
 // per-key classifications maintain produced. It runs synchronously on the
 // mutation path but is non-blocking by construction: every publish is a
 // ring offer, and the only expensive outcome — a full recompute for a
-// stale watched topic — is detached onto its own goroutine.
+// recomputed watched topic — is detached onto its own goroutine.
 func (s *Service) publishWatch(cur *Entry, ch *delta.Change, classes map[Key]delta.Class) {
 	if s.hub == nil {
 		return
@@ -106,17 +106,17 @@ func (s *Service) publishWatch(cur *Entry, ch *delta.Change, classes map[Key]del
 			// heartbeat re-keys the client's view the same way, no
 			// payload, no recompute.
 			s.hub.Publish(t, generationEvent(t, ch))
-		case classified && class == delta.Repairable:
+		case classified && class == delta.Repaired:
 			res, ok := s.cache.Peek(key)
 			if !ok {
 				// The repair raced against an invalidation; recompute.
 				s.watchRecompute(t, key, ch, cur)
 				continue
 			}
-			s.hub.Publish(t, representativeEvent(t, ch, "repaired", res))
+			s.hub.Publish(t, representativeEvent(t, ch, delta.Repaired, res))
 		default:
-			// Stale — or a topic that was never cached at the previous
-			// generation, so maintenance had nothing to classify.
+			// Recomputed — or a topic that was never cached at the
+			// previous generation, so maintenance had nothing to classify.
 			if s.hub.HasSubscribers(t) {
 				s.watchRecompute(t, key, ch, cur)
 			} else {
@@ -142,7 +142,7 @@ func (s *Service) watchRecompute(t watch.Topic, key Key, ch *delta.Change, cur *
 			s.hub.Break(t)
 			return
 		}
-		s.hub.Publish(t, representativeEvent(t, ch, "recomputed", res))
+		s.hub.Publish(t, representativeEvent(t, ch, delta.Recomputed, res))
 	}()
 }
 
@@ -200,14 +200,14 @@ func generationEvent(t watch.Topic, ch *delta.Change) watch.Event {
 	})}
 }
 
-func representativeEvent(t watch.Topic, ch *delta.Change, class string, res CachedResult) watch.Event {
+func representativeEvent(t watch.Topic, ch *delta.Change, class delta.Class, res CachedResult) watch.Event {
 	return watch.Event{Type: watch.TypeRepresentative, Gen: ch.Gen, PrevGen: ch.PrevGen, Data: marshalWatch(watchEventBody{
 		Dataset:        t.Dataset,
 		K:              t.K,
 		Algorithm:      t.Algo,
 		Generation:     ch.Gen,
 		PrevGeneration: ch.PrevGen,
-		Class:          class,
+		Class:          class.String(),
 		Size:           len(res.IDs),
 		IDs:            res.IDs,
 		ComputeMS:      float64(res.Elapsed) / 1e6,

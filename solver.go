@@ -37,7 +37,7 @@ type config struct {
 	epsilonNetHitting  bool
 	pickMinMaxRank     bool
 	samplerTermination int
-	softMaxDraws       int  // legacy Options.SamplerMaxDraws: truncate, don't fail
+	softMaxDraws       int  // WithSamplerMaxDraws: truncate, don't fail
 	drawBudget         int  // hard: exceeding returns ErrBudgetExhausted
 	nodeBudget         int  // hard: exceeding returns ErrBudgetExhausted
 	batchWorkers       int  // SolveBatch fan-out pool size; <= 0 = GOMAXPROCS
@@ -74,8 +74,8 @@ func WithSamplerTermination(c int) Option { return func(cfg *config) { cfg.sampl
 
 // WithDrawBudget puts a hard cap on the number of ranking functions K-SETr
 // may sample. Exceeding it fails the solve with ErrBudgetExhausted (the
-// partial stats report the draws and k-sets reached), unlike the legacy
-// Options.SamplerMaxDraws, which silently truncated the collection.
+// partial stats report the draws and k-sets reached), unlike the soft cap
+// WithSamplerMaxDraws, which silently truncates the collection.
 // Zero or negative means no hard budget.
 func WithDrawBudget(n int) Option { return func(c *config) { c.drawBudget = n } }
 

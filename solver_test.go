@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"rrr"
@@ -102,6 +103,122 @@ func TestMinimalKDeterministicAcrossCalls(t *testing.T) {
 	}
 	if k1 != k2 || fmt.Sprint(res1.IDs) != fmt.Sprint(res2.IDs) {
 		t.Fatalf("first search (%d, %v) != second (%d, %v)", k1, res1.IDs, k2, res2.IDs)
+	}
+}
+
+// TestSolverConcurrentUse: one Solver shared by eight goroutines — as
+// rrrd shares each algorithm's solver, and its arena free-list, across
+// concurrent requests — answers every call exactly as a sequential run
+// does. Each goroutine repeats one call at its own k: 2-D SolveInto into
+// a recycled Result, a 3-D Solve, a SolveBatch mixing primal and dual
+// queries, and a MinimalKForSize search. The auto solver runs 2DRRR and
+// MDRC; the MDRRR solver runs every call through the K-SETr sampler's
+// scratch.
+func TestSolverConcurrentUse(t *testing.T) {
+	ctx := context.Background()
+	d2, err := rrr.Independent(300, 2, 7).Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d3, err := rrr.Independent(150, 3, 7).Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type call func(*rrr.Solver) ([]*rrr.Result, error)
+	solveInto := func(k int) call {
+		var res rrr.Result // recycled across rounds, as a serving loop would
+		return func(s *rrr.Solver) ([]*rrr.Result, error) {
+			if err := s.SolveInto(ctx, d2, k, &res); err != nil {
+				return nil, err
+			}
+			out := res
+			out.IDs = append([]int(nil), res.IDs...)
+			return []*rrr.Result{&out}, nil
+		}
+	}
+	solve := func(k int) call {
+		return func(s *rrr.Solver) ([]*rrr.Result, error) {
+			res, err := s.Solve(ctx, d3, k)
+			return []*rrr.Result{res}, err
+		}
+	}
+	batch := func(reqs ...rrr.Request) call {
+		return func(s *rrr.Solver) ([]*rrr.Result, error) {
+			br, err := s.SolveBatch(ctx, d2, reqs)
+			if err != nil {
+				return nil, err
+			}
+			out := make([]*rrr.Result, len(br.Items))
+			for i, item := range br.Items {
+				if item.Err != nil {
+					return nil, item.Err
+				}
+				out[i] = item.Result
+			}
+			return out, nil
+		}
+	}
+	minimalK := func(size int) call {
+		return func(s *rrr.Solver) ([]*rrr.Result, error) {
+			k, res, err := s.MinimalKForSize(ctx, d2, size)
+			if err == nil && res.K != k {
+				err = fmt.Errorf("achieved k %d, result solved at k=%d", k, res.K)
+			}
+			return []*rrr.Result{res}, err
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		opts []rrr.Option
+	}{
+		{"auto", []rrr.Option{rrr.WithSeed(5)}},
+		{"mdrrr", []rrr.Option{rrr.WithSeed(5), rrr.WithAlgorithm(rrr.AlgoMDRRR), rrr.WithSamplerTermination(40)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			calls := []call{
+				solveInto(5), solveInto(9),
+				solve(6), solve(10),
+				batch(rrr.Request{K: 4}, rrr.Request{K: 12}, rrr.Request{Size: 3}),
+				batch(rrr.Request{K: 7}, rrr.Request{K: 15}, rrr.Request{Size: 5}),
+				minimalK(3), minimalK(6),
+			}
+			want := make([][]*rrr.Result, len(calls))
+			for i, c := range calls {
+				if want[i], err = c(rrr.New(tc.opts...)); err != nil {
+					t.Fatalf("call %d, sequential: %v", i, err)
+				}
+			}
+			shared := rrr.New(tc.opts...)
+			const rounds = 3
+			errs := make([]error, len(calls))
+			got := make([][][]*rrr.Result, len(calls))
+			var wg sync.WaitGroup
+			for i, c := range calls {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for r := 0; r < rounds && errs[i] == nil; r++ {
+						var res []*rrr.Result
+						res, errs[i] = c(shared)
+						got[i] = append(got[i], res)
+					}
+				}()
+			}
+			wg.Wait()
+			for i := range calls {
+				if errs[i] != nil {
+					t.Fatalf("call %d, concurrent: %v", i, errs[i])
+				}
+				for r, res := range got[i] {
+					if len(res) != len(want[i]) {
+						t.Fatalf("call %d round %d: %d results, want %d", i, r, len(res), len(want[i]))
+					}
+					for j := range res {
+						sameResult(t, fmt.Sprintf("call %d round %d result %d", i, r, j), res[j], want[i][j])
+					}
+				}
+			}
+		})
 	}
 }
 
