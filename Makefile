@@ -26,14 +26,17 @@ race:
 # Fuzz smoke: a short budgeted run of each native fuzz target, catching
 # decoder panics and non-canonical encodings before they reach a corpus,
 # any input on which the skyband-pruned 2-D sweep disagrees with the
-# unfiltered one, any on which the early-exit top-k scan disagrees with
-# the full sort, and any on which the dominator-count index disagrees
-# with the pairwise count. One -fuzz pattern per invocation: go test
-# rejects multiple fuzz targets in a single run.
+# unfiltered one, any on which the 2-D entry points (Solve, SolveInto,
+# SolveBatch, algo.TwoDRRR, Profile2D) disagree, any on which the
+# early-exit top-k scan disagrees with the full sort, and any on which
+# the dominator-count index disagrees with the pairwise count. One -fuzz
+# pattern per invocation: go test rejects multiple fuzz targets in a
+# single run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzFindRanges -fuzztime 10s ./internal/sweep/
+	$(GO) test -run '^$$' -fuzz FuzzTwoDRRR -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzTopK -fuzztime 10s ./internal/topk/
 	$(GO) test -run '^$$' -fuzz FuzzDominators -fuzztime 10s ./internal/core/
 
@@ -92,7 +95,7 @@ fmt:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-ci: fmt-check vet perfbench-vet build test race
+ci: fmt-check vet perfbench-vet build test race fuzz-smoke
 
 clean:
 	$(GO) clean ./...

@@ -3,6 +3,7 @@ package algo
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"rrr/internal/core"
 	"rrr/internal/cover"
@@ -41,44 +42,34 @@ type TwoDOptions struct {
 // 1) followed by one-dimensional range cover (Algorithm 2). The output size
 // is at most the optimal RRR size (Theorem 3) and its rank-regret is at
 // most 2k (Theorem 4); in the paper's experiments — and in this
-// repository's — it achieves ≤ k on real-like data.
+// repository's — it achieves ≤ k on real-like data. It is TwoDRRRScratch
+// on a temporary arena.
 //
 // The context is checked periodically inside the angular sweep; a canceled
 // or expired context returns an *Interrupted error.
 func TwoDRRR(ctx context.Context, d *core.Dataset, k int, opt TwoDOptions) (*Result, error) {
-	if err := validate(d, k); err != nil {
-		return nil, err
-	}
-	if d.Dims() != 2 {
-		return nil, errors.New("algo: TwoDRRR requires a 2-D dataset; use MDRRR or MDRC otherwise")
-	}
-	ranges, err := sweep.FindRanges(ctx, d, k)
+	ids, stats, err := TwoDRRRScratch(ctx, d, k, opt, nil)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, &Interrupted{Err: err}
-		}
 		return nil, err
 	}
-	return TwoDRRRFromRanges(ranges, opt)
+	return &Result{IDs: ids, Stats: stats}, nil
 }
 
 // TwoDScratch is the reusable arena of the allocation-free 2-D solve path:
 // the sweep's event/state arena, the cover's segment buffers, and the
-// interval and output slices gluing them together. One TwoDScratch serves
-// one TwoDRRRScratch call at a time; rrr.Solver keeps a pool of them so
-// concurrent solves each check out their own.
+// interval slice gluing them together. One TwoDScratch serves one solve at
+// a time; rrr.Solver keeps a pool of them so concurrent solves each check
+// out their own.
 type TwoDScratch struct {
 	Sweep     sweep.Scratch
 	Cover     cover.Scratch
 	intervals []cover.Interval
-	ids       []int
 }
 
-// TwoDRRRScratch is TwoDRRR on a caller-owned arena: the same sweep, the
-// same cover selection, the same sorted/deduped output — but every
-// per-solve structure lives in sc, so a warm arena solves with zero
-// allocations. The returned IDs alias sc and are valid only until the
-// arena's next use; callers that keep the result must copy.
+// TwoDRRRScratch is TwoDRRR on a caller-owned arena: every per-solve
+// structure lives in sc, so a warm arena solves with zero allocations.
+// The returned IDs alias sc and are valid only until the arena's next use;
+// callers that keep the result must copy. A nil sc uses a temporary arena.
 func TwoDRRRScratch(ctx context.Context, d *core.Dataset, k int, opt TwoDOptions, sc *TwoDScratch) ([]int, Stats, error) {
 	if sc == nil {
 		sc = new(TwoDScratch)
@@ -96,7 +87,29 @@ func TwoDRRRScratch(ctx context.Context, d *core.Dataset, k int, opt TwoDOptions
 		}
 		return nil, Stats{}, err
 	}
-	sc.intervals = sc.intervals[:0]
+	return sc.cover(ranges, opt)
+}
+
+// TwoDRRRFromRanges runs the cover phase of the 2-D algorithm on
+// precomputed Algorithm 1 ranges, on a temporary arena. The batch engine
+// and Profile2D call it on the slices of one sweep.FindRangesMulti pass,
+// which equal per-k FindRangesScratch results, so the answers are
+// TwoDRRRScratch's.
+func TwoDRRRFromRanges(ranges []sweep.Range, opt TwoDOptions) (*Result, error) {
+	var sc TwoDScratch
+	ids, stats, err := sc.cover(ranges, opt)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{IDs: ids, Stats: stats}, nil
+}
+
+// cover is the one cover tail of every 2-D solve: it turns Algorithm 1's
+// ranges into intervals, reports progress, and covers [0, π/2] with the
+// selected strategy. The IDs come back sorted and deduplicated, aliasing
+// sc.
+func (sc *TwoDScratch) cover(ranges []sweep.Range, opt TwoDOptions) ([]int, Stats, error) {
+	sc.intervals = slices.Grow(sc.intervals[:0], len(ranges))
 	for _, r := range ranges {
 		sc.intervals = append(sc.intervals, cover.Interval{ID: r.ID, Lo: r.Lo, Hi: r.Hi})
 	}
@@ -104,7 +117,10 @@ func TwoDRRRScratch(ctx context.Context, d *core.Dataset, k int, opt TwoDOptions
 	if opt.OnProgress != nil {
 		opt.OnProgress(stats)
 	}
-	var ids []int
+	var (
+		ids []int
+		err error
+	)
 	switch opt.Cover {
 	case CoverMaxGain:
 		ids, err = cover.CoverMaxGainScratch(sc.intervals, 0, geom.HalfPi, &sc.Cover)
@@ -116,39 +132,5 @@ func TwoDRRRScratch(ctx context.Context, d *core.Dataset, k int, opt TwoDOptions
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	sc.ids = append(sc.ids[:0], ids...)
-	return finishInPlace(sc.ids), stats, nil
-}
-
-// TwoDRRRFromRanges runs the cover phase of the 2-D algorithm on
-// precomputed Algorithm 1 ranges. It is the tail TwoDRRR fans into after
-// its own sweep; the batch engine calls it directly so that one
-// sweep.FindRangesMulti pass can feed the cover instances of many k values
-// — the results are identical to per-k TwoDRRR calls because the ranges
-// are.
-func TwoDRRRFromRanges(ranges map[int]sweep.Range, opt TwoDOptions) (*Result, error) {
-	intervals := make([]cover.Interval, 0, len(ranges))
-	for _, r := range ranges {
-		intervals = append(intervals, cover.Interval{ID: r.ID, Lo: r.Lo, Hi: r.Hi})
-	}
-	stats := Stats{Ranges: len(intervals)}
-	if opt.OnProgress != nil {
-		opt.OnProgress(stats)
-	}
-	var (
-		ids []int
-		err error
-	)
-	switch opt.Cover {
-	case CoverMaxGain:
-		ids, err = cover.CoverMaxGain(intervals, 0, geom.HalfPi)
-	case CoverOptimalSweep:
-		ids, err = cover.CoverOptimal(intervals, 0, geom.HalfPi)
-	default:
-		return nil, errors.New("algo: unknown cover strategy")
-	}
-	if err != nil {
-		return nil, err
-	}
-	return finish(ids, stats), nil
+	return finishInPlace(ids), stats, nil
 }

@@ -2,13 +2,14 @@
 // to: one-dimensional interval covering for 2DRRR (Section 4) and hitting
 // sets over k-set collections for MDRRR (Section 5.2).
 //
-// Two interval-cover implementations are provided. CoverMaxGain is the
-// paper's Algorithm 2: repeatedly pick the interval covering the largest
-// uncovered length, maintaining the uncovered space as a sorted list probed
-// by binary search. CoverOptimal is the classic single-sweep greedy for
-// covering a segment. Both are optimal in output size (the paper proves its
-// greedy optimal; the classic result is standard), so they serve as mutual
-// cross-checks and as an ablation pair.
+// Two interval-cover algorithms are provided, each with one body that runs
+// on a Scratch arena; the plain functions run it on a temporary one.
+// CoverMaxGain is the paper's Algorithm 2: repeatedly pick the interval
+// covering the largest uncovered length, maintaining the uncovered space
+// as a sorted list probed by binary search. CoverOptimal is the classic
+// single-sweep greedy for covering a segment. Both are meant to be optimal
+// in output size (the paper claims its greedy is; the classic result is
+// standard), so they serve as mutual cross-checks and as an ablation pair.
 //
 // Two hitting-set implementations are provided. GreedyHittingSet is the
 // standard ln(n)-approximation. BGHittingSet follows Brönnimann–Goodrich,
@@ -39,91 +40,17 @@ const contactTol = 1e-12
 // sweep: repeatedly extend coverage with the interval reaching farthest
 // right among those starting at or before the current frontier. Ties are
 // broken toward the smaller ID. It returns the chosen IDs in sweep order,
-// or an error when the intervals cannot cover the segment.
+// or an error when the intervals cannot cover the segment. It is
+// CoverOptimalScratch on a temporary arena.
 func CoverOptimal(intervals []Interval, lo, hi float64) ([]int, error) {
-	if hi < lo {
-		return nil, fmt.Errorf("cover: empty target [%g, %g]", lo, hi)
-	}
-	sorted := append([]Interval(nil), intervals...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Lo != sorted[j].Lo {
-			return sorted[i].Lo < sorted[j].Lo
-		}
-		return sorted[i].ID < sorted[j].ID
-	})
-	var out []int
-	cur := lo
-	i := 0
-	for {
-		bestHi := math.Inf(-1)
-		bestID := -1
-		for i < len(sorted) && sorted[i].Lo <= cur+contactTol {
-			if sorted[i].Hi > bestHi || (sorted[i].Hi == bestHi && sorted[i].ID < bestID) {
-				bestHi = sorted[i].Hi
-				bestID = sorted[i].ID
-			}
-			i++
-		}
-		if bestID == -1 || bestHi <= cur+contactTol {
-			if cur >= hi-contactTol {
-				return out, nil
-			}
-			return nil, fmt.Errorf("cover: gap at %g, cannot reach %g", cur, hi)
-		}
-		out = append(out, bestID)
-		cur = bestHi
-		if cur >= hi-contactTol {
-			return out, nil
-		}
-	}
+	var sc Scratch
+	return CoverOptimalScratch(intervals, lo, hi, &sc)
 }
-
-// uncovered is a sorted list of disjoint closed intervals of space not yet
-// covered, the structure Algorithm 2 maintains as the list U.
-type uncovered struct {
-	segs [][2]float64
-}
-
-// gain returns the length of [lo,hi] ∩ uncovered.
-func (u *uncovered) gain(lo, hi float64) float64 {
-	// Binary search for the first segment whose end is beyond lo —
-	// Algorithm 2 line 8's "found by applying binary search".
-	i := sort.Search(len(u.segs), func(i int) bool { return u.segs[i][1] > lo })
-	total := 0.0
-	for ; i < len(u.segs) && u.segs[i][0] < hi; i++ {
-		a := math.Max(lo, u.segs[i][0])
-		b := math.Min(hi, u.segs[i][1])
-		if b > a {
-			total += b - a
-		}
-	}
-	return total
-}
-
-// subtract removes [lo,hi] from the uncovered space (Algorithm 2 lines
-// 13–22 generalized to any overlap pattern).
-func (u *uncovered) subtract(lo, hi float64) {
-	var out [][2]float64
-	for _, s := range u.segs {
-		if s[1] <= lo || s[0] >= hi {
-			out = append(out, s)
-			continue
-		}
-		if s[0] < lo-contactTol {
-			out = append(out, [2]float64{s[0], lo})
-		}
-		if s[1] > hi+contactTol {
-			out = append(out, [2]float64{hi, s[1]})
-		}
-	}
-	u.segs = out
-}
-
-func (u *uncovered) empty() bool { return len(u.segs) == 0 }
 
 // CoverMaxGain is the paper's Algorithm 2 greedy: at every iteration select
 // the interval with the maximum coverage of the still-uncovered space, then
-// remove that coverage. Ties break toward the smaller ID.
+// remove that coverage. Ties break toward the smaller ID. It is
+// CoverMaxGainScratch on a temporary arena.
 //
 // Reproduction note: the paper claims this greedy is optimal (its Figure 5
 // argument), but it is not, even on ranges produced by Algorithm 1 — e.g.
@@ -132,43 +59,8 @@ func (u *uncovered) empty() bool { return len(u.segs) == 0 }
 // and needs 3. CoverOptimal provides the guaranteed-minimal cover; both are
 // exposed so the divergence can be measured (see EXPERIMENTS.md).
 func CoverMaxGain(intervals []Interval, lo, hi float64) ([]int, error) {
-	if hi < lo {
-		return nil, fmt.Errorf("cover: empty target [%g, %g]", lo, hi)
-	}
-	u := &uncovered{segs: [][2]float64{{lo, hi}}}
-	used := make([]bool, len(intervals))
-	var out []int
-	for !u.empty() {
-		bestGain := 0.0
-		best := -1
-		for idx, iv := range intervals {
-			if used[idx] {
-				continue
-			}
-			g := u.gain(iv.Lo, iv.Hi)
-			if g > bestGain+contactTol ||
-				(g > 0 && math.Abs(g-bestGain) <= contactTol && best >= 0 && iv.ID < intervals[best].ID) {
-				bestGain = g
-				best = idx
-			}
-		}
-		if best == -1 || bestGain <= contactTol {
-			// Residual slivers below tolerance are numerical dust from
-			// exact-contact endpoints; treat them as covered.
-			residual := 0.0
-			for _, s := range u.segs {
-				residual += s[1] - s[0]
-			}
-			if residual <= 16*contactTol {
-				return out, nil
-			}
-			return nil, fmt.Errorf("cover: %g of the target remains uncoverable", residual)
-		}
-		used[best] = true
-		out = append(out, intervals[best].ID)
-		u.subtract(intervals[best].Lo, intervals[best].Hi)
-	}
-	return out, nil
+	var sc Scratch
+	return CoverMaxGainScratch(intervals, lo, hi, &sc)
 }
 
 // GreedyHittingSet returns a set of element IDs intersecting every input

@@ -1,41 +1,35 @@
 package cover
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
-// Scratch is a reusable arena for the interval-cover algorithms: the
-// max-gain greedy's used-flags, the uncovered-space segment list (double
-// buffered so subtraction swaps buffers instead of reallocating), and the
-// optimal sweep's sorted working copy. A warm Scratch makes repeated covers
-// allocation-free on the success path.
+// Scratch is the arena of the interval-cover algorithms: the max-gain
+// greedy's uncovered-space segment list (double buffered so subtraction
+// swaps buffers instead of reallocating) and the optimal sweep's sorted
+// working copy. A warm Scratch makes repeated covers allocation-free on
+// the success path. Nothing in it escapes a cover call, so a temporary
+// Scratch (the plain CoverMaxGain and CoverOptimal) lives on the stack.
 //
 // A Scratch serves one cover at a time; the []int returned by the *Scratch
 // functions aliases the arena and is valid only until its next use. The
 // zero value is ready to use.
 type Scratch struct {
-	used   []bool
 	out    []int
 	segs   [][2]float64
 	spare  [][2]float64
 	sorted []Interval
-	sorter intervalSorter
 }
 
-// intervalSorter orders intervals by (Lo, ID) through a pointer receiver —
-// the same order CoverOptimal's sort.Slice call uses, minus the closure
-// allocation.
-type intervalSorter struct{ iv []Interval }
-
-func (s *intervalSorter) Len() int      { return len(s.iv) }
-func (s *intervalSorter) Swap(i, j int) { s.iv[i], s.iv[j] = s.iv[j], s.iv[i] }
-func (s *intervalSorter) Less(i, j int) bool {
-	if s.iv[i].Lo != s.iv[j].Lo {
-		return s.iv[i].Lo < s.iv[j].Lo
+// compareIntervals orders intervals by (Lo, ID).
+func compareIntervals(a, b Interval) int {
+	if c := cmp.Compare(a.Lo, b.Lo); c != 0 {
+		return c
 	}
-	return s.iv[i].ID < s.iv[j].ID
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // resetUncovered initializes the uncovered space to the single segment
@@ -70,9 +64,11 @@ func (sc *Scratch) uncoveredGain(lo, hi float64) float64 {
 	return total
 }
 
-// uncoveredSubtract removes [lo,hi] from the uncovered space by rebuilding
-// the segment list into the spare buffer and swapping — the allocation-free
-// twin of uncovered.subtract.
+// uncoveredSubtract removes [lo,hi] from the uncovered space (Algorithm 2
+// lines 13–22 generalized to any overlap pattern) by rebuilding the
+// segment list into the spare buffer and swapping. Every segment left
+// ends at or before lo or starts at or after hi, so [lo,hi]'s own gain
+// drops to exactly zero.
 func (sc *Scratch) uncoveredSubtract(lo, hi float64) {
 	out := sc.spare[:0]
 	for _, s := range sc.segs {
@@ -92,8 +88,7 @@ func (sc *Scratch) uncoveredSubtract(lo, hi float64) {
 
 // CoverMaxGainScratch is CoverMaxGain on a caller-owned arena. The returned
 // IDs alias sc and are valid only until the Scratch's next use; a nil sc
-// uses a temporary arena. The selection logic is identical to CoverMaxGain,
-// so the two return the same cover for the same input.
+// uses a temporary arena.
 func CoverMaxGainScratch(intervals []Interval, lo, hi float64, sc *Scratch) ([]int, error) {
 	if hi < lo {
 		return nil, fmt.Errorf("cover: empty target [%g, %g]", lo, hi)
@@ -102,22 +97,13 @@ func CoverMaxGainScratch(intervals []Interval, lo, hi float64, sc *Scratch) ([]i
 		sc = new(Scratch)
 	}
 	sc.resetUncovered(lo, hi)
-	if cap(sc.used) < len(intervals) {
-		sc.used = make([]bool, len(intervals))
-	} else {
-		sc.used = sc.used[:len(intervals)]
-		for i := range sc.used {
-			sc.used[i] = false
-		}
-	}
 	out := sc.out[:0]
 	for len(sc.segs) > 0 {
+		// A picked interval keeps zero gain from then on
+		// (uncoveredSubtract), so it never wins again.
 		bestGain := 0.0
 		best := -1
 		for idx, iv := range intervals {
-			if sc.used[idx] {
-				continue
-			}
 			g := sc.uncoveredGain(iv.Lo, iv.Hi)
 			if g > bestGain+contactTol ||
 				(g > 0 && math.Abs(g-bestGain) <= contactTol && best >= 0 && iv.ID < intervals[best].ID) {
@@ -133,12 +119,10 @@ func CoverMaxGainScratch(intervals []Interval, lo, hi float64, sc *Scratch) ([]i
 				residual += s[1] - s[0]
 			}
 			if residual <= 16*contactTol {
-				sc.out = out
-				return out, nil
+				break
 			}
 			return nil, fmt.Errorf("cover: %g of the target remains uncoverable", residual)
 		}
-		sc.used[best] = true
 		out = append(out, intervals[best].ID)
 		sc.uncoveredSubtract(intervals[best].Lo, intervals[best].Hi)
 	}
@@ -147,9 +131,9 @@ func CoverMaxGainScratch(intervals []Interval, lo, hi float64, sc *Scratch) ([]i
 }
 
 // CoverOptimalScratch is CoverOptimal on a caller-owned arena: the sorted
-// working copy, the sorter, and the output all live in sc. The returned IDs
-// alias sc and are valid only until the Scratch's next use; a nil sc uses a
-// temporary arena.
+// working copy and the output live in sc. The returned IDs alias sc and
+// are valid only until the Scratch's next use; a nil sc uses a temporary
+// arena.
 func CoverOptimalScratch(intervals []Interval, lo, hi float64, sc *Scratch) ([]int, error) {
 	if hi < lo {
 		return nil, fmt.Errorf("cover: empty target [%g, %g]", lo, hi)
@@ -157,11 +141,9 @@ func CoverOptimalScratch(intervals []Interval, lo, hi float64, sc *Scratch) ([]i
 	if sc == nil {
 		sc = new(Scratch)
 	}
-	sc.sorted = append(sc.sorted[:0], intervals...)
-	sc.sorter.iv = sc.sorted
-	sort.Sort(&sc.sorter)
-	sc.sorter.iv = nil
-	sorted := sc.sorted
+	sorted := append(sc.sorted[:0], intervals...)
+	slices.SortFunc(sorted, compareIntervals)
+	sc.sorted = sorted
 	out := sc.out[:0]
 	cur := lo
 	i := 0
@@ -177,16 +159,16 @@ func CoverOptimalScratch(intervals []Interval, lo, hi float64, sc *Scratch) ([]i
 		}
 		if bestID == -1 || bestHi <= cur+contactTol {
 			if cur >= hi-contactTol {
-				sc.out = out
-				return out, nil
+				break
 			}
 			return nil, fmt.Errorf("cover: gap at %g, cannot reach %g", cur, hi)
 		}
 		out = append(out, bestID)
 		cur = bestHi
 		if cur >= hi-contactTol {
-			sc.out = out
-			return out, nil
+			break
 		}
 	}
+	sc.out = out
+	return out, nil
 }

@@ -158,7 +158,8 @@ func (t *Table) DeleteRows(ids []int) (*Table, []int, error) {
 		drop[id] = true
 	}
 	cur := t.materializeIDs()
-	out := &Table{Name: t.Name, Attrs: t.Attrs, NextID: t.NextID}
+	out := &Table{Name: t.Name, Attrs: t.Attrs, NextID: t.NextID,
+		Rows: make([][]float64, 0, t.N()), IDs: make([]int, 0, t.N())}
 	removed := make([]int, 0, len(ids))
 	for i, row := range t.Rows {
 		if cur[i] >= out.NextID {

@@ -45,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"rrr/internal/core"
@@ -127,11 +128,14 @@ type Change struct {
 // generations are assigned by the caller (the registry owns the
 // cache-key-unique counter) and must strictly increase.
 type Log struct {
-	mu      sync.Mutex
-	table   *dataset.Table
-	data    *core.Dataset
-	gen     int64
-	batches int64
+	mu    sync.Mutex
+	table *dataset.Table
+	data  *core.Dataset
+	// mins and maxs are table's raw normalization bounds, kept so a batch
+	// computes only its new table's bounds to detect a rescale.
+	mins, maxs []float64
+	gen        int64
+	batches    int64
 	// maint carries the revalidation pools across this log's batches; it
 	// lives and dies with the log.
 	maint Maintainer
@@ -145,7 +149,11 @@ func NewLog(t *dataset.Table, gen int64) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("delta: %w", err)
 	}
-	return &Log{table: t, data: data, gen: gen}, nil
+	mins, maxs, err := t.Bounds()
+	if err != nil {
+		return nil, fmt.Errorf("delta: %w", err)
+	}
+	return &Log{table: t, data: data, mins: mins, maxs: maxs, gen: gen}, nil
 }
 
 // Maintainer returns the log's maintainer: the revalidation pools of the
@@ -232,10 +240,13 @@ func (l *Log) Apply(b Batch, assignGen func() int64, commit func(*Change) error)
 	if err != nil {
 		return nil, fmt.Errorf("delta: %w", err)
 	}
-	ch.Rescaled, err = rescaled(l.table, table)
+	mins, maxs, err := table.Bounds()
 	if err != nil {
 		return nil, fmt.Errorf("delta: %w", err)
 	}
+	// The raw normalization bounds moved: surviving tuples change
+	// normalized coordinates.
+	ch.Rescaled = !slices.Equal(mins, l.mins) || !slices.Equal(maxs, l.maxs)
 	newGen := assignGen()
 	if newGen <= l.gen {
 		return nil, fmt.Errorf("delta: generation %d does not advance %d", newGen, l.gen)
@@ -248,26 +259,7 @@ func (l *Log) Apply(b Batch, assignGen func() int64, commit func(*Change) error)
 		}
 	}
 	l.table, l.data, l.gen = table, data, newGen
+	l.mins, l.maxs = mins, maxs
 	l.batches++
 	return ch, nil
-}
-
-// rescaled reports whether the raw normalization bounds differ between
-// two tables — the condition under which surviving tuples change
-// normalized coordinates.
-func rescaled(before, after *dataset.Table) (bool, error) {
-	bmin, bmax, err := before.Bounds()
-	if err != nil {
-		return false, err
-	}
-	amin, amax, err := after.Bounds()
-	if err != nil {
-		return false, err
-	}
-	for j := range bmin {
-		if bmin[j] != amin[j] || bmax[j] != amax[j] {
-			return true, nil
-		}
-	}
-	return false, nil
 }

@@ -7,7 +7,8 @@ import (
 	"sync"
 
 	"rrr/internal/core"
-	"rrr/internal/shard"
+	"rrr/internal/sweep"
+	"rrr/internal/trace"
 )
 
 // Class is the verdict on a cached answer under one mutation batch, in
@@ -77,23 +78,38 @@ func (p *Pool) Len() int {
 }
 
 // BuildPool computes a containment pool of d at rank target k. For 2-D
-// data it is the 2-D sweep's range owners, from the shard package's
-// TopKRanges extractor on a single-shard plan: the minimal pool, exactly
-// the tuples that ever enter the top-k. Otherwise it is the k-skyband,
-// the tuples fewer than k others AlwaysOutrank, read from d's dominator
-// counts (core.Dataset.DominatorCounts, built at the snapshot's first
-// pool): the same pool shard.Dominance's scan returns, sound for every
+// data it is the range owners of sweep.FindRangesScratch: the minimal
+// pool, exactly the tuples that ever enter the top-k (every tuple when
+// n ≤ k). Otherwise it is the k-skyband, the tuples fewer than k others
+// AlwaysOutrank, read from d's dominator counts
+// (core.Dataset.DominatorCounts, built at the snapshot's first pool): the
+// same pool shard.Dominance's scan returns, sound for every
 // dimensionality and every linear function. Both are proven supersets of
 // every k-set member, which is all the classification tests require. A
-// dead context returns its error.
+// dead context returns its error. The build is recorded as a
+// "reval_pool" span under the context's trace.
 func BuildPool(ctx context.Context, d *core.Dataset, k int) (*Pool, error) {
-	if d.Dims() != 2 {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("delta: building revalidation pool: %w", err)
-		}
+	rec, parent := trace.FromContext(ctx)
+	sid := rec.Start("reval_pool", parent)
+	ids, err := poolIDs(ctx, d, k)
+	rec.End(sid)
+	if err != nil {
+		return nil, fmt.Errorf("delta: building revalidation pool: %w", err)
+	}
+	return newPool(k, ids), nil
+}
+
+// poolIDs returns the sorted member IDs of BuildPool's pool.
+func poolIDs(ctx context.Context, d *core.Dataset, k int) ([]int, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	var ids []int
+	switch {
+	case d.Dims() != 2:
 		counts, err := d.DominatorCounts(ctx)
 		if err != nil {
-			return nil, fmt.Errorf("delta: building revalidation pool: %w", err)
+			return nil, err
 		}
 		size := 0
 		for _, c := range counts {
@@ -101,24 +117,29 @@ func BuildPool(ctx context.Context, d *core.Dataset, k int) (*Pool, error) {
 				size++
 			}
 		}
-		ids := make([]int, 0, size)
+		ids = make([]int, 0, size)
 		for i, c := range counts {
 			if int(c) < k {
 				ids = append(ids, d.Tuple(i).ID)
 			}
 		}
-		sort.Ints(ids)
-		return newPool(k, ids), nil
+	case d.N() <= k:
+		ids = make([]int, d.N())
+		for i, t := range d.Tuples() {
+			ids[i] = t.ID
+		}
+	default:
+		ranges, err := sweep.FindRangesScratch(ctx, d, k, nil)
+		if err != nil {
+			return nil, err
+		}
+		ids = make([]int, len(ranges))
+		for i, r := range ranges {
+			ids[i] = r.ID
+		}
 	}
-	pl, err := shard.NewPlan(d, 1, shard.Contiguous)
-	if err != nil {
-		return nil, fmt.Errorf("delta: building revalidation pool: %w", err)
-	}
-	ids, _, err := shard.Candidates(ctx, pl, k, shard.TopKRanges, shard.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("delta: building revalidation pool: %w", err)
-	}
-	return newPool(k, ids), nil
+	sort.Ints(ids)
+	return ids, nil
 }
 
 // Classify applies the containment tests of the package comment to one

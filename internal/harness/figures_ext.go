@@ -122,7 +122,7 @@ func runAblCover(ctx context.Context, s Scale) (*Result, error) {
 	}
 	for _, frac := range []float64{0.002, 0.01, 0.1} {
 		k := kFromFraction(n, frac)
-		ranges, err := sweep.FindRanges(ctx, d, k)
+		ranges, err := sweep.FindRangesScratch(ctx, d, k, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -200,10 +200,10 @@ func mutateStillExact(tb testing.TB, svc *Service, rows [][]float64, del []int) 
 
 // mutateStillExactAllocs bounds one still-exact append-and-delete op at
 // the count it reaches. Most of it is the log's copy-on-write snapshot of
-// each batch (the table copy, its normalization, the bounds check);
+// each batch (the table copy, its normalization, the new table's bounds);
 // classification reuses the maintainer's pools, and the rest is the
 // per-batch key list and verdict maps.
-const mutateStillExactAllocs = 102
+const mutateStillExactAllocs = 73
 
 // TestMutateStillExactAllocs pins what a still-exact mutation batch costs
 // rrrd's maintenance path in allocations, so a regression on the path the

@@ -363,6 +363,12 @@ func (c *Cache) settleLocked(ctx context.Context, w *waiter) {
 	}
 }
 
+// errUnpublished is what a flight's waiters receive for a key its
+// computation returned without publishing. One value serves every
+// flight, so the deferred sweep in run allocates nothing on the common
+// path, where every key was published and the sweep fills nothing.
+var errUnpublished = errors.New("service: computation ended without publishing this key")
+
 // run executes one flight on its own goroutine, holding a single admission
 // slot for all its keys: admission control, compute, and failing whatever
 // compute left unpublished (early return, panic) so no waiter wedges.
@@ -392,7 +398,7 @@ func (c *Cache) run(ctx context.Context, fl *flight, owned []Key, slots map[Key]
 	fl.start = time.Now()
 	finished := false
 	defer func() {
-		err := errors.New("service: computation ended without publishing this key")
+		err := errUnpublished
 		if !finished {
 			err = fmt.Errorf("service: computation panicked: %v", recover())
 		}

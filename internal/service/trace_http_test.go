@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -270,6 +271,57 @@ func TestTracedMutationWALAppend(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no wal_append span in traced mutation:\n%s", body.Tree)
+	}
+}
+
+// TestTracedMutationPoolSpan: a traced mutation over a cached 2-D answer
+// records its revalidation pool's build as a reval_pool span, and no
+// shard extraction (map_shard) spans.
+func TestTracedMutationPoolSpan(t *testing.T) {
+	svc := New(Config{Seed: 1, DeltaMaintenance: true})
+	e, err := svc.Registry().Generate("d", "dot", 100, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(svc))
+	defer ts.Close()
+	if code := getJSON(t, ts.URL+"/v1/representative?dataset=d&k=5", nil); code != http.StatusOK {
+		t.Fatalf("representative status = %d", code)
+	}
+
+	// A copy of an existing row keeps the normalization bounds, so the
+	// cached answer is classified against a pool instead of recomputed
+	// outright.
+	row := e.Table.Rows[0]
+	req, _ := http.NewRequest("POST", ts.URL+"/v1/datasets/d/append",
+		strings.NewReader(fmt.Sprintf(`{"rows":[[%v,%v]]}`, row[0], row[1])))
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("traceparent", testTraceparent)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("append status = %d", resp.StatusCode)
+	}
+
+	var body traceBody
+	if code := getJSON(t, ts.URL+"/v1/traces/4bf92f3577b34da6a3ce929d0e0e4736", &body); code != http.StatusOK {
+		t.Fatalf("trace fetch status = %d", code)
+	}
+	pools := 0
+	for _, sp := range body.SpanList {
+		switch sp.Name {
+		case "reval_pool":
+			pools++
+		case "map_shard":
+			t.Fatalf("pool build recorded a shard extraction:\n%s", body.Tree)
+		}
+	}
+	if pools != 1 {
+		t.Fatalf("%d reval_pool spans in traced mutation, want 1:\n%s", pools, body.Tree)
 	}
 }
 

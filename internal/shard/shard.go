@@ -25,12 +25,14 @@
 //     (core.AlwaysOutranks), so the filter is exact for the whole function
 //     space, not a sample of it.
 //
-// Callers: internal/delta builds its 2-D revalidation pools with
-// TopKRanges on a one-shard plan (its d-D pools come from the dataset's
-// dominator counts, core.Dataset.DominatorCounts); the batch engine fans
-// its per-query tails out with FanOut; perfbench's ledger times both
-// extractors. Dominance stays as the oracle the d-D pools are tested
-// against, and as the scan the ledger's shard.dominance_ms row times.
+// Callers: the batch engine fans its per-query tails out with FanOut, and
+// perfbench's ledger times both extractors. Dominance stays as the oracle
+// internal/delta's d-D pools are tested against, and as the scan the
+// ledger's shard.dominance_ms row times. internal/delta itself no longer
+// calls this package: its 2-D pools are sweep.FindRangesScratch's range
+// owners — what TopKRanges returns on a one-shard plan, without copying
+// the dataset into a shard — and its d-D pools come from the dataset's
+// dominator counts (core.Dataset.DominatorCounts).
 //
 // Nothing solves on a P-shard pool any more: the kernels now do that
 // pruning themselves (the 2-D sweep runs on the k-skyband, d-D top-k

@@ -195,9 +195,8 @@ func TestCandidatesSmallShards(t *testing.T) {
 	}
 }
 
-// TestCandidatesCanceled: the dominance scan honors cancellation — the
-// delta engine's pool build (a one-shard plan) relies on it to bound
-// mutation maintenance by the caller's context.
+// TestCandidatesCanceled: the dominance scan honors cancellation, so an
+// extraction is bounded by the caller's context.
 func TestCandidatesCanceled(t *testing.T) {
 	d := randomDataset(t, 2000, 3, 6)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -4,43 +4,39 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"rrr/internal/core"
 	"rrr/internal/geom"
 )
 
-// Scratch is a reusable arena for the sweep's per-solve state: the rank
-// order and position arrays, the k-skyband heap, the event heap, the
-// pending-pair set, and the per-tuple boundary state of FindRangesScratch.
-// A warm Scratch makes repeated sweeps over same-sized datasets
-// allocation-free — every slice is resized in place and the pending set's
-// table is rewiped, not reallocated.
+// Scratch is the sweep's arena and its one event loop: the rank order and
+// position arrays, the k-skyband heap, the event heap, the pending-pair
+// set, and the boundary state of FindRangesScratch. Every consumer runs
+// the loop through it — start, then step until it reports the queue
+// empty — and keeps its per-event bookkeeping in its own loop body, so no
+// callback sits between the loop and the consumer. A warm Scratch makes
+// repeated sweeps over same-sized datasets allocation-free: every slice
+// is resized in place and the pending set's table is rewiped, not
+// reallocated.
 //
 // A Scratch is owned by exactly one sweep at a time: it is not safe for
 // concurrent use, and the []Range returned by FindRangesScratch aliases the
 // arena, staying valid only until the Scratch's next use. The zero value is
 // ready to use.
 type Scratch struct {
-	order   []int
-	pos     []int
+	order   []int // local indexes in current rank order
+	pos     []int // position in order, by local index
 	heap    eventHeap
 	pending pairSet
+	events  int // live exchanges applied since start
 	sorter  initialSorter
 	band    []float64 // the k-skyband pass's heap of x2 values
 
-	// FindRangesScratch per-tuple boundary state, indexed by dataset-local
-	// index instead of the ID-keyed maps the legacy API used.
-	lo     []float64
-	hi     []float64
-	flags  []uint8
+	bound  boundary // FindRangesScratch's single-k tracker
 	ranges []Range
 }
-
-const (
-	stateSeen  uint8 = 1 << iota // tuple has entered the top-k at least once
-	stateInTop                   // tuple is in the top-k right now
-)
 
 // initialSorter sorts local indexes by the library's initial-order rule
 // (x1 desc, x2 desc, ID asc) through a pointer receiver, so the sort costs
@@ -85,8 +81,8 @@ func growBytes(s []uint8, n int) []uint8 {
 	return make([]uint8, n)
 }
 
-// initOrder fills sc.order with the initial rank order, reusing the
-// arena's slice.
+// initOrder fills sc.order with the initial rank order — every tuple's
+// local index, sorted for θ → 0⁺ — reusing the arena's slice.
 func (sc *Scratch) initOrder(d *core.Dataset) error {
 	if d.Dims() != 2 {
 		return errors.New("sweep: requires a 2-D dataset")
@@ -101,17 +97,51 @@ func (sc *Scratch) initOrder(d *core.Dataset) error {
 	return nil
 }
 
-// resetQueue empties the event heap and pending set, keeping their storage.
-func (sc *Scratch) resetQueue() {
-	sc.heap = sc.heap[:0]
+// initBand fills sc.order with the k-skyband of d in initial order (see
+// skyband) and starts the sweep over it. The band is the order
+// FindRangesScratch and FindRangesMulti sweep; the tuples it drops never
+// reach the top-k boundary.
+func (sc *Scratch) initBand(d *core.Dataset, k int) error {
+	if k <= 0 {
+		return errors.New("sweep: k must be positive")
+	}
+	if err := sc.initOrder(d); err != nil {
+		return err
+	}
+	n := d.N()
+	if k > n {
+		return fmt.Errorf("%w: k=%d, n=%d", ErrKExceedsN, k, n)
+	}
+	ts := d.Tuples()
+	sc.band = growFloats(sc.band, n) // sized by n, not k, so any k reuses it
+	sc.order, sc.band = skyband(ts, sc.order, k, sc.band)
+	sc.start(ts)
+	return nil
+}
+
+// start begins a sweep over sc.order, which holds local indexes of ts in
+// initial order — every tuple, or only a prefix-closed band of them. It
+// sets the positions, empties the event queue and schedules every
+// adjacent pair. Local indexes stay dataset-wide, so pos and the
+// pending-pair key keep their full size len(ts) whatever the order
+// covers. The event heap is sized up front for one event per adjacent
+// pair, so a cold arena does not grow it one doubling at a time.
+func (sc *Scratch) start(ts []core.Tuple) {
+	sc.pos = growInts(sc.pos, len(ts))
+	for p, li := range sc.order {
+		sc.pos[li] = p
+	}
+	sc.heap = slices.Grow(sc.heap[:0], len(sc.order))
 	sc.pending.reset()
+	sc.events = 0
+	for p := 0; p < len(sc.order)-1; p++ {
+		sc.schedule(p, ts)
+	}
 }
 
 // schedule pushes the exchange event for the adjacent pair at positions
-// (p, p+1) when it will cross ahead of the sweep — the arena twin of the
-// closure inside sweepLocal. n is the dataset size, the stride of the
-// pending-pair key; the order itself may be shorter.
-func (sc *Scratch) schedule(p, n int, ts []core.Tuple) {
+// (p, p+1) when it will cross ahead of the sweep.
+func (sc *Scratch) schedule(p int, ts []core.Tuple) {
 	if p < 0 || p+1 >= len(sc.order) {
 		return
 	}
@@ -125,10 +155,121 @@ func (sc *Scratch) schedule(p, n int, ts []core.Tuple) {
 	if !ok {
 		return
 	}
-	if !sc.pending.insert(int64(u)*int64(n) + int64(v)) {
+	if !sc.pending.insert(int64(u)*int64(len(ts)) + int64(v)) {
 		return
 	}
 	sc.heap.push(event{theta: theta, above: u, below: v})
+}
+
+// step advances the sweep to its next live exchange: it pops events until
+// one still names an adjacent pair, swaps the pair in the order,
+// reschedules the pairs the swap made adjacent, and returns the exchange
+// with the position p it happened at (e.above moved from p to p+1). ok is
+// false once the queue is empty. ts must be the slice start was given.
+//
+// A scheduled event that finds its pair no longer adjacent is discarded:
+// the pair is rescheduled when it becomes adjacent again, which must
+// happen before its true crossing angle. That is the classic
+// arrangement-sweep recipe, and it handles concurrent crossings (three or
+// more tuples exchanging at one angle) without the general-position
+// assumption the paper makes.
+func (sc *Scratch) step(ts []core.Tuple) (e event, p int, ok bool) {
+	n := int64(len(ts))
+	for len(sc.heap) > 0 {
+		e = sc.heap.pop()
+		sc.pending.remove(int64(e.above)*n + int64(e.below))
+		p = sc.pos[e.above]
+		if p+1 >= len(sc.order) || sc.order[p+1] != e.below {
+			continue // stale: pair separated; rescheduled on re-adjacency
+		}
+		sc.events++
+		sc.order[p], sc.order[p+1] = e.below, e.above
+		sc.pos[e.above] = p + 1
+		sc.pos[e.below] = p
+		sc.schedule(p-1, ts)
+		sc.schedule(p+1, ts)
+		return e, p, true
+	}
+	return event{}, 0, false
+}
+
+// canceled reports whether the sweep should stop for ctx: it checks the
+// context once every cancelCheckInterval exchanges and wraps its error.
+// The modulus test is all that inlines into the event loop.
+func (sc *Scratch) canceled(ctx context.Context) error {
+	if sc.events%cancelCheckInterval != 0 {
+		return nil
+	}
+	return sc.ctxErr(ctx)
+}
+
+func (sc *Scratch) ctxErr(ctx context.Context) error {
+	if ctx.Err() == nil {
+		return nil
+	}
+	return fmt.Errorf("sweep: canceled after %d events: %w", sc.events, ctx.Err())
+}
+
+const (
+	stateSeen  uint8 = 1 << iota // tuple has entered the top-k at least once
+	stateInTop                   // tuple is in the top-k right now
+)
+
+// boundary is Algorithm 1's bookkeeping at one rank target k, indexed by
+// dataset-local index: whether a tuple has entered the top-k, whether it
+// is in it now, the angle it first entered (lo) and the angle it last left
+// (hi). It sees only the exchanges at position k−1; FindRangesScratch
+// keeps one on its arena and FindRangesMulti one per distinct k.
+type boundary struct {
+	lo, hi []float64
+	flags  []uint8
+	seen   int // tuples that have entered the top-k
+}
+
+// reset sizes the state for n tuples and puts top — the top-k at θ = 0 —
+// in range from angle 0. Only flags are cleared: lo is written at a
+// tuple's first entry and hi at each exit, before either is read.
+func (b *boundary) reset(n int, top []int) {
+	b.lo = growFloats(b.lo, n)
+	b.hi = growFloats(b.hi, n)
+	b.flags = growBytes(b.flags, n)
+	clear(b.flags)
+	for _, li := range top {
+		b.lo[li] = 0
+		b.flags[li] = stateSeen | stateInTop
+	}
+	b.seen = len(top)
+}
+
+// exchange records an exchange at the boundary: e.above leaves the top-k
+// at e.theta and e.below enters it.
+func (b *boundary) exchange(e event) {
+	b.hi[e.above] = e.theta
+	b.flags[e.above] &^= stateInTop
+	if b.flags[e.below]&stateSeen == 0 {
+		b.lo[e.below] = e.theta
+		b.flags[e.below] |= stateSeen
+		b.seen++
+	}
+	b.flags[e.below] |= stateInTop
+}
+
+// appendRanges appends one Range per tuple that was ever in the top-k, in
+// local-index order; a tuple still in the top-k at the end of the sweep
+// keeps its range open to π/2.
+func (b *boundary) appendRanges(out []Range, ts []core.Tuple) []Range {
+	out = slices.Grow(out, b.seen)
+	for li, f := range b.flags {
+		if f&stateSeen == 0 {
+			continue
+		}
+		hi := b.hi[li]
+		if f&stateInTop != 0 {
+			hi = geom.HalfPi
+		}
+		out = append(out, Range{ID: ts[li].ID, Lo: b.lo[li], Hi: hi})
+	}
+	return out
 }
 
 // FindRangesScratch is FindRanges computed on a caller-owned arena: it
@@ -148,83 +289,25 @@ func FindRangesScratch(ctx context.Context, d *core.Dataset, k int, sc *Scratch)
 	if sc == nil {
 		sc = new(Scratch)
 	}
-	if k <= 0 {
-		return nil, errors.New("sweep: k must be positive")
-	}
-	if err := sc.initOrder(d); err != nil {
+	if err := sc.initBand(d, k); err != nil {
 		return nil, err
 	}
-	n := d.N()
-	if k > n {
-		return nil, fmt.Errorf("%w: k=%d, n=%d", ErrKExceedsN, k, n)
-	}
 	ts := d.Tuples()
-	// Sweep only the k-skyband: the dropped tuples never reach the top-k
-	// boundary. Local indexes stay dataset-wide, so pos, the boundary
-	// state and the pending-pair key keep their full size n.
-	sc.band = growFloats(sc.band, n) // sized by n, not k, so any k reuses it
-	sc.order, sc.band = skyband(ts, sc.order, k, sc.band)
-	m := len(sc.order)
-	sc.pos = growInts(sc.pos, n)
-	for p, li := range sc.order {
-		sc.pos[li] = p
-	}
-	sc.lo = growFloats(sc.lo, n)
-	sc.hi = growFloats(sc.hi, n)
-	sc.flags = growBytes(sc.flags, n)
-	for i := range sc.flags {
-		sc.flags[i] = 0
-	}
-	for _, li := range sc.order[:k] {
-		sc.lo[li] = 0
-		sc.flags[li] = stateSeen | stateInTop
-	}
-	sc.resetQueue()
-	for p := 0; p < m-1; p++ {
-		sc.schedule(p, n, ts)
-	}
-	// The event loop mirrors sweepLocal exactly (same heap order, same
-	// staleness rule), inlined here so the boundary bookkeeping runs on
-	// local-index slices with no callback in the way.
-	events := 0
-	for len(sc.heap) > 0 {
-		e := sc.heap.pop()
-		sc.pending.remove(int64(e.above)*int64(n) + int64(e.below))
-		p := sc.pos[e.above]
-		if p+1 >= m || sc.order[p+1] != e.below {
-			continue // stale: pair separated; rescheduled on re-adjacency
+	// The first k tuples have fewer than k dominators, so they head the
+	// band at their initial positions.
+	sc.bound.reset(len(ts), sc.order[:k])
+	for {
+		e, p, ok := sc.step(ts)
+		if !ok {
+			break
 		}
-		events++
-		if events%cancelCheckInterval == 0 && ctx.Err() != nil {
-			return nil, fmt.Errorf("sweep: canceled after %d events: %w", events, ctx.Err())
+		if err := sc.canceled(ctx); err != nil {
+			return nil, err
 		}
 		if p == k-1 {
-			// e.above leaves the top-k, e.below enters.
-			sc.hi[e.above] = e.theta
-			sc.flags[e.above] &^= stateInTop
-			if sc.flags[e.below]&stateSeen == 0 {
-				sc.lo[e.below] = e.theta
-				sc.flags[e.below] |= stateSeen
-			}
-			sc.flags[e.below] |= stateInTop
+			sc.bound.exchange(e)
 		}
-		sc.order[p], sc.order[p+1] = e.below, e.above
-		sc.pos[e.above] = p + 1
-		sc.pos[e.below] = p
-		sc.schedule(p-1, n, ts)
-		sc.schedule(p+1, n, ts)
 	}
-	sc.ranges = sc.ranges[:0]
-	for li := 0; li < n; li++ {
-		f := sc.flags[li]
-		if f&stateSeen == 0 {
-			continue
-		}
-		hi := sc.hi[li]
-		if f&stateInTop != 0 {
-			hi = geom.HalfPi
-		}
-		sc.ranges = append(sc.ranges, Range{ID: ts[li].ID, Lo: sc.lo[li], Hi: hi})
-	}
+	sc.ranges = sc.bound.appendRanges(sc.ranges[:0], ts)
 	return sc.ranges, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rrr/internal/core"
@@ -79,9 +80,10 @@ func strictDominators(d *core.Dataset) []int {
 }
 
 // checkSkyband holds the pruned kernels to the unfiltered oracle on one
-// dataset and every k in ks: FindRangesScratch (on the shared, warm sc),
-// FindRanges and one FindRangesMulti call must equal referenceRanges, and
-// the skyband pass must keep exactly the tuples with fewer than k strict
+// dataset and every k in ks: FindRangesScratch (on the shared, warm sc)
+// and FindRanges must equal referenceRanges, one FindRangesMulti call
+// must return FindRangesScratch's slices exactly, order included, and the
+// skyband pass must keep exactly the tuples with fewer than k strict
 // dominators, in initial order. It reports whether any k pruned a tuple.
 func checkSkyband(t testing.TB, d *core.Dataset, ks []int, sc *Scratch) (pruned bool) {
 	t.Helper()
@@ -92,10 +94,11 @@ func checkSkyband(t testing.TB, d *core.Dataset, ks []int, sc *Scratch) (pruned 
 		t.Fatal(err)
 	}
 	dom := strictDominators(d)
-	full, err := initialLocalOrder(d)
-	if err != nil {
+	var initial Scratch
+	if err := initial.initOrder(d); err != nil {
 		t.Fatal(err)
 	}
+	full := initial.order
 	for i, k := range ks {
 		rs, err := FindRangesScratch(ctx, d, k, sc)
 		if err != nil {
@@ -108,15 +111,15 @@ func checkSkyband(t testing.TB, d *core.Dataset, ks []int, sc *Scratch) (pruned 
 		if !reflect.DeepEqual(got, want[i]) {
 			t.Fatalf("n=%d k=%d: FindRangesScratch\n got  %v\n want %v\n points %v", d.N(), k, got, want[i], d.Tuples())
 		}
+		if !slices.Equal(multi[i], rs) {
+			t.Fatalf("n=%d ks=%v k=%d: FindRangesMulti\n got  %v\n want %v\n points %v", d.N(), ks, k, multi[i], rs, d.Tuples())
+		}
 		single, err := FindRanges(ctx, d, k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(single, want[i]) {
 			t.Fatalf("n=%d k=%d: FindRanges\n got  %v\n want %v", d.N(), k, single, want[i])
-		}
-		if !reflect.DeepEqual(multi[i], want[i]) {
-			t.Fatalf("n=%d ks=%v k=%d: FindRangesMulti\n got  %v\n want %v\n points %v", d.N(), ks, k, multi[i], want[i], d.Tuples())
 		}
 
 		order := append([]int(nil), full...)

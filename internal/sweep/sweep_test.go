@@ -268,7 +268,7 @@ func TestFindRangesEndpointsInTopK(t *testing.T) {
 }
 
 // TestFindRangesMultiMatchesSingle: the one-sweep multi-k variant equals
-// per-k FindRanges results.
+// per-k FindRangesScratch results, order included.
 func TestFindRangesMultiMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 8; trial++ {
@@ -279,7 +279,7 @@ func TestFindRangesMultiMatchesSingle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, k := range ks {
-			single, err := sweep.FindRanges(context.Background(), d, k)
+			single, err := sweep.FindRangesScratch(context.Background(), d, k, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,10 +3,8 @@ package rrr
 import (
 	"context"
 	"errors"
-	"sort"
 
-	"rrr/internal/cover"
-	"rrr/internal/geom"
+	"rrr/internal/algo"
 	"rrr/internal/sweep"
 )
 
@@ -27,7 +25,8 @@ type ProfilePoint struct {
 // list length?" — the question behind the paper's dual formulation.
 //
 // Covers use the provably minimal interval cover, so each point's size is
-// within the Theorem 3 bound for its k.
+// within the Theorem 3 bound for its k, and each point's IDs are what
+// Solve returns under WithOptimalCover.
 func Profile2D(d *Dataset, ks []int) ([]ProfilePoint, error) {
 	if d == nil {
 		return nil, errors.New("rrr: nil dataset")
@@ -41,16 +40,11 @@ func Profile2D(d *Dataset, ks []int) ([]ProfilePoint, error) {
 	}
 	out := make([]ProfilePoint, len(ks))
 	for i, ranges := range rangesPerK {
-		intervals := make([]cover.Interval, 0, len(ranges))
-		for _, r := range ranges {
-			intervals = append(intervals, cover.Interval{ID: r.ID, Lo: r.Lo, Hi: r.Hi})
-		}
-		ids, err := cover.CoverOptimal(intervals, 0, geom.HalfPi)
+		res, err := algo.TwoDRRRFromRanges(ranges, algo.TwoDOptions{Cover: algo.CoverOptimalSweep})
 		if err != nil {
 			return nil, err
 		}
-		sort.Ints(ids)
-		out[i] = ProfilePoint{K: ks[i], Size: len(ids), IDs: ids}
+		out[i] = ProfilePoint{K: ks[i], Size: len(res.IDs), IDs: res.IDs}
 	}
 	return out, nil
 }

@@ -203,10 +203,7 @@ func (s *Solver) solveInto(ctx context.Context, d *Dataset, k int, algorithm Alg
 	if s.cfg.deltaMaintenance {
 		// Record the revalidation pool for Revalidate: an exact containment
 		// pool of the full dataset, sound for any later mutation.
-		rec, parent := trace.FromContext(ctx)
-		rpID := rec.Start("reval_pool", parent)
 		rp, err := delta.BuildPool(ctx, d, k)
-		rec.End(rpID)
 		if err != nil {
 			return s.wrapSolveError(algorithm, start, err)
 		}
