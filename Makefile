@@ -28,8 +28,9 @@ race:
 # any input on which the skyband-pruned 2-D sweep disagrees with the
 # unfiltered one, any on which the 2-D entry points (Solve, SolveInto,
 # SolveBatch, algo.TwoDRRR, Profile2D) disagree, any on which the
-# early-exit top-k scan disagrees with the full sort, and any on which
-# the dominator-count index disagrees with the pairwise count. One -fuzz
+# early-exit top-k scan disagrees with the full sort, any on which the
+# dominator-count index disagrees with the pairwise count, and any on
+# which Sample or SampleMulti departs from the K-SETr replay. One -fuzz
 # pattern per invocation: go test rejects multiple fuzz targets in a
 # single run.
 fuzz-smoke:
@@ -39,6 +40,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTwoDRRR -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzTopK -fuzztime 10s ./internal/topk/
 	$(GO) test -run '^$$' -fuzz FuzzDominators -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzSample -fuzztime 10s ./internal/kset/
 
 # Tier-1 benchmarks, 5 repetitions for benchstat-able variance. CI uploads
 # bench.txt as an artifact so every PR leaves a perf data point to compare

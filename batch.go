@@ -290,12 +290,8 @@ func (b *batchRun) gridTwoD(ctx context.Context, ks []int) {
 // and fans the per-k hitting sets across the pool.
 func (b *batchRun) gridMDRRR(ctx context.Context, ks []int) {
 	s := b.solver
-	sampler := s.samplerOptions()
-	if b.progress != nil {
-		sampler.OnProgress = func(ss kset.SampleStats) {
-			b.progress(algo.Stats{SamplerDraws: ss.Draws, KSets: ss.Distinct})
-		}
-	}
+	opt := s.mdrrrOptions(b.progress)
+	sampler := opt.SampleOptions()
 	// The shared sampling phase is single-goroutine, so it can borrow one
 	// solve arena for its draw buffers; it is returned before the fan-out.
 	arena := s.arenas.get()
@@ -312,41 +308,9 @@ func (b *batchRun) gridMDRRR(ctx context.Context, ks []int) {
 		}
 	}
 	b.stats.Draws += roundDraws
-	hitOpts := s.mdrrrOptions(b.progress)
 	entries := make([]*memoEntry, len(ks))
 	b.fanOut(len(ks), func(i int) {
-		if err := serrs[i]; err != nil {
-			// Mirror algo.MDRRR's wrapping of sampler failures so the item
-			// error equals the sequential solve's.
-			partial := algo.Stats{
-				SamplerDraws:     sstats[i].Draws,
-				SamplerTruncated: sstats[i].Truncated,
-				KSets:            sstats[i].Distinct,
-			}
-			switch {
-			case errors.Is(err, kset.ErrDrawBudget):
-				err = &algo.Interrupted{Stats: partial, Err: fmt.Errorf("%w: %v", algo.ErrBudget, err)}
-			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-				err = &algo.Interrupted{Stats: partial, Err: err}
-			}
-			entries[i] = &memoEntry{err: s.wrapSolveError(b.algorithm, b.start, err)}
-			return
-		}
-		opt := hitOpts
-		opt.KSets = cols[i]
-		res, err := algo.MDRRR(ctx, b.d, ks[i], opt)
-		// The collection was pre-sampled, so MDRRR didn't count the draws;
-		// restore them — on the partial stats of a failed hitting phase
-		// too — for parity with a sequential solve.
-		if res != nil {
-			res.Stats.SamplerDraws = sstats[i].Draws
-			res.Stats.SamplerTruncated = sstats[i].Truncated
-		}
-		var in *algo.Interrupted
-		if errors.As(err, &in) {
-			in.Stats.SamplerDraws = sstats[i].Draws
-			in.Stats.SamplerTruncated = sstats[i].Truncated
-		}
+		res, err := algo.MDRRRFromSample(ctx, b.d, cols[i], sstats[i], serrs[i], opt)
 		entries[i] = b.finish(res, err)
 	})
 	for i, k := range ks {
@@ -401,9 +365,10 @@ type dualSearch struct {
 }
 
 // solveDuals advances every dual query one probe per round, solving each
-// round's distinct new probe k values as a shared mini-batch. The search
-// trajectory — and therefore the answer — is identical to sequential
-// MinimalKForSize calls, because each probe's result is.
+// round's distinct new probe k values as a shared mini-batch. It is the
+// only dual search: MinimalKForSize is a one-item batch. The search
+// trajectory — and therefore the answer — is that of a binary search over
+// sequential Solve calls, because each probe's result is Solve's.
 func (b *batchRun) solveDuals(ctx context.Context, items []BatchItem) {
 	var searches []*dualSearch
 	for i := range items {
@@ -426,10 +391,10 @@ func (b *batchRun) solveDuals(ctx context.Context, items []BatchItem) {
 		if !active {
 			break
 		}
-		// The between-probes context check of MinimalKForSize, applied to
-		// the whole round: a canceled batch must not launch another shared
-		// solve just to have it fail. Searches that already converged fall
-		// through to the finalization loop below and keep their answer.
+		// The between-probes context check, applied to the whole round: a
+		// canceled batch must not launch another shared solve just to have
+		// it fail. Searches that already converged fall through to the
+		// finalization loop below and keep their answer.
 		if err := ctx.Err(); err != nil {
 			for _, ds := range searches {
 				if ds.done || ds.lo > ds.hi {
@@ -484,7 +449,7 @@ func (b *batchRun) solveDuals(ctx context.Context, items []BatchItem) {
 		}
 		if ds.best == nil {
 			// Unreachable for size >= 1 (k = n admits a singleton); defend
-			// exactly as MinimalKForSize does.
+			// anyway.
 			ds.item.Err = &Error{Kind: ErrInfeasible, Op: "minimal-k", Algorithm: b.algorithm,
 				Cause:   fmt.Errorf("no k admits a representative of size <= %d", ds.size),
 				Partial: PartialStats{Elapsed: time.Since(b.start)}}
@@ -495,8 +460,9 @@ func (b *batchRun) solveDuals(ctx context.Context, items []BatchItem) {
 	}
 }
 
-// dualProbeError re-wraps a failed probe with the search state, exactly as
-// MinimalKForSize reports a failed Solve probe.
+// dualProbeError re-wraps a failed probe's typed error with the search
+// state: Op "minimal-k", the search's elapsed time and its best result so
+// far.
 func (b *batchRun) dualProbeError(err error, ds *dualSearch) error {
 	var e *Error
 	if errors.As(err, &e) {

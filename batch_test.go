@@ -118,6 +118,108 @@ func TestSolveBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestSolveBatchDrawBudgetMatchesSolve: a batch MDRRR item that runs out
+// of its hard draw budget fails exactly as Solve does at that k — same
+// kind, op, cause and partial draws and k-sets — although the batch samples
+// every k from one shared function stream.
+func TestSolveBatchDrawBudgetMatchesSolve(t *testing.T) {
+	d, err := rrr.Independent(200, 4, 1).Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver := rrr.New(rrr.WithAlgorithm(rrr.AlgoMDRRR),
+		rrr.WithSamplerTermination(1<<30), rrr.WithDrawBudget(150), rrr.WithSeed(1))
+	ks := []int{2, 5, 9}
+	reqs := make([]rrr.Request, len(ks))
+	for i, k := range ks {
+		reqs[i] = rrr.Request{K: k}
+	}
+	br, err := solver.SolveBatch(context.Background(), d, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range ks {
+		_, solveErr := solver.Solve(context.Background(), d, k)
+		var want, got *rrr.Error
+		if !errors.As(solveErr, &want) || !errors.Is(solveErr, rrr.ErrBudgetExhausted) {
+			t.Fatalf("k=%d: Solve err = %v, want a typed budget error", k, solveErr)
+		}
+		if !errors.As(br.Items[i].Err, &got) {
+			t.Fatalf("k=%d: batch item err = %v, want a typed error", k, br.Items[i].Err)
+		}
+		if got.Kind != want.Kind || got.Op != want.Op || got.Cause.Error() != want.Cause.Error() ||
+			got.Partial.Draws != want.Partial.Draws || got.Partial.KSets != want.Partial.KSets {
+			t.Fatalf("k=%d: batch item error %+v (cause %q), Solve's %+v (cause %q)",
+				k, *got, got.Cause, *want, want.Cause)
+		}
+	}
+}
+
+// TestDualMatchesBinarySearchOverSolve checks MinimalKForSize and SolveBatch
+// dual items against an independent oracle: a binary search over Solve
+// written here, sharing no code with the batch engine's dual search.
+func TestDualMatchesBinarySearchOverSolve(t *testing.T) {
+	cases := []struct {
+		name string
+		kind string
+		n, d int
+		opts []rrr.Option
+	}{
+		{"2drrr", "dot", 400, 2, nil},
+		{"mdrc", "dot", 200, 3, nil},
+		{"mdrrr", "bn", 120, 3, []rrr.Option{
+			rrr.WithAlgorithm(rrr.AlgoMDRRR), rrr.WithSamplerTermination(40), rrr.WithSeed(7)}},
+	}
+	sizes := []int{1, 2, 3, 4}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ds, err := harness.MakeDataset(tc.kind, tc.n, tc.d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			solver := rrr.New(tc.opts...)
+			reqs := make([]rrr.Request, len(sizes))
+			for i, size := range sizes {
+				reqs[i] = rrr.Request{Size: size}
+			}
+			br, err := solver.SolveBatch(context.Background(), ds, reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, size := range sizes {
+				var wantK int
+				var want *rrr.Result
+				for lo, hi := 1, ds.N(); lo <= hi; {
+					mid := (lo + hi) / 2
+					res, err := solver.Solve(context.Background(), ds, mid)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(res.IDs) <= size {
+						wantK, want = mid, res
+						hi = mid - 1
+					} else {
+						lo = mid + 1
+					}
+				}
+				gotK, got, err := solver.MinimalKForSize(context.Background(), ds, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gotK != wantK {
+					t.Fatalf("size=%d: MinimalKForSize K = %d, oracle %d", size, gotK, wantK)
+				}
+				sameResult(t, tc.name+" MinimalKForSize", got, want)
+				it := br.Items[i]
+				if it.Err != nil || it.K != wantK {
+					t.Fatalf("size=%d: batch item K = %d err = %v, oracle K = %d", size, it.K, it.Err, wantK)
+				}
+				sameResult(t, tc.name+" batch dual", it.Result, want)
+			}
+		})
+	}
+}
+
 // TestSolveBatchSingleSweep is the acceptance criterion: 8 distinct k
 // values on a tier-1 2-D dataset run the angular sweep exactly once, with
 // per-item results identical to sequential solves.

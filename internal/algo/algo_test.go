@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -183,7 +184,7 @@ func TestMDRRRGuaranteesKWithExactKSets2D(t *testing.T) {
 		for _, s := range exact {
 			col.Add(s)
 		}
-		res, err := algo.MDRRR(context.Background(), d, k, algo.MDRRROptions{KSets: col})
+		res, err := algo.MDRRRFromSample(context.Background(), d, col, kset.SampleStats{}, nil, algo.MDRRROptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +237,7 @@ func TestMDRRRHitsEveryKSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, strategy := range []algo.HittingStrategy{algo.HitGreedy, algo.HitEpsilonNet} {
-		res, err := algo.MDRRR(context.Background(), d, k, algo.MDRRROptions{KSets: col, Strategy: strategy})
+		res, err := algo.MDRRRFromSample(context.Background(), d, col, kset.SampleStats{}, nil, algo.MDRRROptions{Strategy: strategy})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +252,7 @@ func TestMDRRRErrors(t *testing.T) {
 	if _, err := algo.MDRRR(context.Background(), d, 0, algo.MDRRROptions{}); err == nil {
 		t.Error("k=0 must error")
 	}
-	if _, err := algo.MDRRR(context.Background(), d, 2, algo.MDRRROptions{KSets: kset.NewCollection()}); err == nil {
+	if _, err := algo.MDRRRFromSample(context.Background(), d, kset.NewCollection(), kset.SampleStats{}, nil, algo.MDRRROptions{}); err == nil {
 		t.Error("empty provided collection must error")
 	}
 	if _, err := algo.MDRRR(context.Background(), d, 2, algo.MDRRROptions{Strategy: 99}); err == nil {
@@ -373,16 +374,19 @@ func TestMDRCMemoizationInvariance(t *testing.T) {
 }
 
 // TestMDRCWorkerInvariance: the parallel corner scans must not change the
-// output or the instrumentation for any worker count.
+// output or the instrumentation for any worker count (GOMAXPROCS).
 func TestMDRCWorkerInvariance(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
 	rng := rand.New(rand.NewSource(137))
 	d := randomDataset(rng, 300, 4)
-	base, err := algo.MDRC(context.Background(), d, 10, algo.MDRCOptions{Workers: 1})
+	base, err := algo.MDRC(context.Background(), d, 10, algo.MDRCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 16} {
-		got, err := algo.MDRC(context.Background(), d, 10, algo.MDRCOptions{Workers: workers})
+		runtime.GOMAXPROCS(workers)
+		got, err := algo.MDRC(context.Background(), d, 10, algo.MDRCOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,13 +56,6 @@ type MDRCOptions struct {
 	HardMaxNodes bool
 	// DisableMemo turns off the corner top-k cache (ablation).
 	DisableMemo bool
-	// Workers bounds the parallelism of per-node corner top-k scans
-	// (default GOMAXPROCS). A node has 2^(d−1) corners; each new weight
-	// vector among them costs a top-k scan, at most O(n log k) and
-	// usually cut short by the scan's norm-bound early exit. The scans
-	// are independent and are evaluated concurrently. Results are
-	// identical for any worker count.
-	Workers int
 	// OnProgress, if non-nil, receives the running stats every
 	// progressInterval recursion nodes.
 	OnProgress func(Stats)
@@ -100,10 +93,6 @@ func MDRC(ctx context.Context, d *core.Dataset, k int, opt MDRCOptions) (*Result
 	if k > d.N() {
 		k = d.N()
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	corners := 1 << uint(d.Dims()-1)
 	m := &mdrcRun{
 		ctx:      ctx,
@@ -112,7 +101,7 @@ func MDRC(ctx context.Context, d *core.Dataset, k int, opt MDRCOptions) (*Result
 		opt:      opt,
 		minWidth: minWidth,
 		maxNodes: maxNodes,
-		workers:  workers,
+		workers:  runtime.GOMAXPROCS(0),
 		cache:    make(map[string][]idRank),
 		theta:    make([]float64, d.Dims()-1),
 		w:        make([]float64, corners*d.Dims()),
@@ -136,9 +125,14 @@ type mdrcRun struct {
 	opt      MDRCOptions
 	minWidth float64
 	maxNodes int
-	workers  int
-	cache    map[string][]idRank
-	stats    Stats
+	// workers bounds a node's concurrent corner scans. A node has 2^(d−1)
+	// corners; each new weight vector among them costs a top-k scan, at
+	// most O(n log k) and usually cut short by the scan's norm-bound early
+	// exit. The scans are independent, so they run concurrently, on up to
+	// GOMAXPROCS goroutines; results are identical for any count.
+	workers int
+	cache   map[string][]idRank
+	stats   Stats
 	// Per-node buffers, reused at every node. Corner i's angles, weight
 	// vector and memo key are the i-th stride of theta, w and keys;
 	// lists[i] is its top-k answer and sc[i] the arena its scan runs in.

@@ -27,11 +27,7 @@ const (
 // K-SETr at the paper's termination setting (c = 100) and hits them
 // greedily.
 type MDRRROptions struct {
-	// KSets supplies a pre-enumerated collection (e.g. from
-	// kset.GraphEnumerate or sweep.KSets). When nil, K-SETr sampling runs
-	// with the Sampler options.
-	KSets *kset.Collection
-	// Sampler configures the internal K-SETr run when KSets is nil.
+	// Sampler configures the K-SETr run.
 	Sampler kset.SampleOptions
 	// Strategy picks the hitting-set algorithm.
 	Strategy HittingStrategy
@@ -50,9 +46,12 @@ type MDRRROptions struct {
 // discovered k-set, and the missing ones occupy slivers of the function
 // space that random functions virtually never hit (Section 5.2.1).
 //
+// MDRRR is kset.Sample followed by MDRRRFromSample; to hit a
+// pre-enumerated collection (e.g. from kset.GraphEnumerate or
+// sweep.KSets), call MDRRRFromSample with zero stats and a nil error.
 // The context is checked periodically inside the K-SETr draw loop; a
-// canceled or expired context — or an exhausted hard draw budget — returns
-// an *Interrupted error carrying the draws and k-sets reached.
+// canceled or expired context — or an exhausted hard draw budget —
+// returns an *Interrupted error carrying the draws and k-sets reached.
 func MDRRR(ctx context.Context, d *core.Dataset, k int, opt MDRRROptions) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -60,37 +59,39 @@ func MDRRR(ctx context.Context, d *core.Dataset, k int, opt MDRRROptions) (*Resu
 	if err := validate(d, k); err != nil {
 		return nil, err
 	}
-	stats := Stats{}
-	col := opt.KSets
-	if col == nil {
-		sampler := opt.Sampler
-		if opt.OnProgress != nil {
-			fn := opt.OnProgress
-			sampler.OnProgress = func(ss kset.SampleStats) {
-				fn(Stats{SamplerDraws: ss.Draws, KSets: ss.Distinct})
-			}
+	col, ss, err := kset.Sample(ctx, d, k, opt.SampleOptions())
+	return MDRRRFromSample(ctx, d, col, ss, err, opt)
+}
+
+// SampleOptions returns the K-SETr options MDRRR samples with: Sampler,
+// reporting its progress through OnProgress when that is set.
+func (opt MDRRROptions) SampleOptions() kset.SampleOptions {
+	sampler := opt.Sampler
+	if fn := opt.OnProgress; fn != nil {
+		sampler.OnProgress = func(ss kset.SampleStats) {
+			fn(Stats{SamplerDraws: ss.Draws, KSets: ss.Distinct})
 		}
-		var (
-			sampleStats kset.SampleStats
-			err         error
-		)
-		col, sampleStats, err = kset.Sample(ctx, d, k, sampler)
-		stats.SamplerDraws = sampleStats.Draws
-		stats.SamplerTruncated = sampleStats.Truncated
-		if err != nil {
-			partial := Stats{
-				SamplerDraws:     sampleStats.Draws,
-				SamplerTruncated: sampleStats.Truncated,
-				KSets:            sampleStats.Distinct,
-			}
-			switch {
-			case errors.Is(err, kset.ErrDrawBudget):
-				return nil, &Interrupted{Stats: partial, Err: fmt.Errorf("%w: %v", ErrBudget, err)}
-			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-				return nil, &Interrupted{Stats: partial, Err: err}
-			}
-			return nil, err
+	}
+	return sampler
+}
+
+// MDRRRFromSample is MDRRR's tail, from one K-SETr outcome — the
+// collection, stats and error of kset.Sample, or of one k of
+// kset.SampleMulti — to a result. A hard draw budget's failure becomes an
+// *Interrupted wrapping ErrBudget, a dead context an *Interrupted wrapping
+// the context error, both carrying the draws and k-sets reached; any other
+// sampler error passes through. The context is checked once more before
+// the hitting set, which runs with opt.Strategy and opt.BG.
+func MDRRRFromSample(ctx context.Context, d *core.Dataset, col *kset.Collection, ss kset.SampleStats, err error, opt MDRRROptions) (*Result, error) {
+	stats := Stats{SamplerDraws: ss.Draws, SamplerTruncated: ss.Truncated, KSets: ss.Distinct}
+	if err != nil {
+		switch {
+		case errors.Is(err, kset.ErrDrawBudget):
+			return nil, &Interrupted{Stats: stats, Err: fmt.Errorf("%w: %v", ErrBudget, err)}
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			return nil, &Interrupted{Stats: stats, Err: err}
 		}
+		return nil, err
 	}
 	if col.Len() == 0 {
 		return nil, errors.New("algo: empty k-set collection")
@@ -102,10 +103,7 @@ func MDRRR(ctx context.Context, d *core.Dataset, k int, opt MDRRROptions) (*Resu
 		return nil, &Interrupted{Stats: stats, Err: err}
 	}
 
-	var (
-		ids []int
-		err error
-	)
+	var ids []int
 	switch opt.Strategy {
 	case HitGreedy:
 		ids, err = cover.GreedyHittingSet(col.Sets())

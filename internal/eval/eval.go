@@ -22,16 +22,15 @@ import (
 // when Options.Samples is zero — 10,000, the paper's Section 6.1 setting.
 const DefaultSamples = 10000
 
-// Options configures the sampled estimators.
+// Options configures the sampled estimators. The estimators measure their
+// samples on up to GOMAXPROCS goroutines; results are identical for any
+// GOMAXPROCS.
 type Options struct {
 	// Samples is the number of ranking functions drawn uniformly from the
 	// positive orthant of the unit hypersphere. Default DefaultSamples.
 	Samples int
 	// Seed drives the sampler; fixed seeds give reproducible estimates.
 	Seed int64
-	// Workers bounds the evaluation parallelism (default: GOMAXPROCS).
-	// Results are identical for any worker count.
-	Workers int
 }
 
 func (o Options) samples() int {
@@ -90,7 +89,7 @@ func EstimateRankRegret(d *core.Dataset, ids []int, opt Options) (int, core.Line
 		return 0, core.LinearFunc{}, err
 	}
 	funcs := sampleFuncs(d.Dims(), opt.samples(), opt.Seed)
-	idx, worst := worstSample(funcs, opt.workers(), func(f core.LinearFunc) float64 {
+	idx, worst := worstSample(funcs, func(f core.LinearFunc) float64 {
 		return float64(rankRegretFor(d, f, subset))
 	})
 	if idx < 0 {
@@ -165,7 +164,7 @@ func MaxRegretRatio(d *core.Dataset, ids []int, opt Options) (float64, core.Line
 		return 1, core.LinearFunc{}, errors.New("eval: empty subset")
 	}
 	funcs := sampleFuncs(d.Dims(), opt.samples(), opt.Seed)
-	idx, worst := worstSample(funcs, opt.workers(), func(f core.LinearFunc) float64 {
+	idx, worst := worstSample(funcs, func(f core.LinearFunc) float64 {
 		r, _ := regretRatioFor(d, f, subset)
 		return r
 	})

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"rrr/internal/core"
@@ -176,20 +177,24 @@ func TestExact2DRankRegretDelegates(t *testing.T) {
 	}
 }
 
-// TestWorkerInvariance: estimates are identical for any worker count.
+// TestWorkerInvariance: estimates are identical for any worker count
+// (GOMAXPROCS).
 func TestWorkerInvariance(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
 	rng := rand.New(rand.NewSource(71))
 	d := randomDataset(rng, 200, 3)
 	ids := []int{3, 17, 42}
 	var wantRR int
 	var wantWitness core.LinearFunc
 	var wantRatio float64
-	for i, workers := range []int{1, 2, 3, 8, 64} {
-		rr, witness, err := eval.EstimateRankRegret(d, ids, eval.Options{Samples: 777, Seed: 5, Workers: workers})
+	for i, workers := range []int{1, 2, 3, 8, 16} {
+		runtime.GOMAXPROCS(workers)
+		rr, witness, err := eval.EstimateRankRegret(d, ids, eval.Options{Samples: 777, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ratio, _, err := eval.MaxRegretRatio(d, ids, eval.Options{Samples: 777, Seed: 5, Workers: workers})
+		ratio, _, err := eval.MaxRegretRatio(d, ids, eval.Options{Samples: 777, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}

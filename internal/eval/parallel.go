@@ -3,25 +3,19 @@ package eval
 import (
 	"math/rand"
 	"runtime"
-	"sync"
 
 	"rrr/internal/core"
 	"rrr/internal/geom"
+	"rrr/internal/shard"
 )
 
 // The sampled estimators parallelize across CPU cores. Determinism is
-// preserved for any worker count: the sample functions are generated
-// sequentially from the seed up front, workers score disjoint chunks, and
-// ties between equally bad samples resolve toward the smallest sample
-// index.
-
-// workers resolves the worker count from Options.
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// preserved for any GOMAXPROCS: the sample functions are generated
+// sequentially from the seed up front, the samples are split into
+// contiguous chunks that shard.FanOut runs concurrently, each chunk writes
+// only its own slots, and every reduction runs over the slots in index
+// order, so ties between equally bad samples resolve toward the smallest
+// sample index.
 
 // sampleFuncs draws the estimator's function set sequentially.
 func sampleFuncs(dims, n int, seed int64) []core.LinearFunc {
@@ -33,55 +27,40 @@ func sampleFuncs(dims, n int, seed int64) []core.LinearFunc {
 	return out
 }
 
-// worstSample runs measure over all sampled functions in parallel and
-// returns the index and value of the worst (maximal) measurement, ties
-// resolved to the smallest index.
-func worstSample(funcs []core.LinearFunc, workers int, measure func(core.LinearFunc) float64) (int, float64) {
-	n := len(funcs)
-	if n == 0 {
-		return -1, 0
-	}
-	if workers > n {
-		workers = n
-	}
-	type result struct {
+// chunks is the number of chunks n samples are split into: GOMAXPROCS,
+// or n when there are fewer samples.
+func chunks(n int) int { return min(runtime.GOMAXPROCS(0), n) }
+
+// chunk returns the sample range [lo, hi) of chunk c when n samples are
+// split into count contiguous chunks; none is empty when count ≤ n.
+func chunk(c, n, count int) (lo, hi int) { return c * n / count, (c + 1) * n / count }
+
+// worstSample measures every sampled function and returns the index and
+// value of the worst (maximal) measurement, ties resolved to the smallest
+// index; the index is -1 when there are no samples. It keeps one best per
+// chunk, not one measurement per sample.
+func worstSample(funcs []core.LinearFunc, measure func(core.LinearFunc) float64) (int, float64) {
+	type best struct {
 		idx int
 		val float64
 	}
-	results := make([]result, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			results[w] = result{idx: -1}
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			best := result{idx: lo, val: measure(funcs[lo])}
-			for i := lo + 1; i < hi; i++ {
-				if v := measure(funcs[i]); v > best.val {
-					best = result{idx: i, val: v}
-				}
+	bests := make([]best, chunks(len(funcs)))
+	shard.FanOut(len(bests), len(bests), func(c int) {
+		lo, hi := chunk(c, len(funcs), len(bests))
+		b := best{idx: lo, val: measure(funcs[lo])}
+		for i := lo + 1; i < hi; i++ {
+			if v := measure(funcs[i]); v > b.val {
+				b = best{idx: i, val: v}
 			}
-			results[w] = best
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	winner := result{idx: -1, val: -1}
-	for _, r := range results {
-		if r.idx == -1 {
-			continue
 		}
-		if r.val > winner.val || (r.val == winner.val && r.idx < winner.idx) {
-			winner = r
+		bests[c] = b
+	})
+	// Chunks run in index order, so a strict > keeps the smallest index.
+	worst := best{idx: -1}
+	for _, b := range bests {
+		if worst.idx < 0 || b.val > worst.val {
+			worst = b
 		}
 	}
-	return winner.idx, winner.val
+	return worst.idx, worst.val
 }

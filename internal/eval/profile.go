@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"rrr/internal/core"
+	"rrr/internal/shard"
 )
 
 // Distribution summarizes how a subset's rank-regret is distributed over
@@ -36,36 +37,14 @@ func RankRegretDistribution(d *core.Dataset, ids []int, k int, opt Options) (Dis
 		return Distribution{}, errors.New("eval: empty subset")
 	}
 	funcs := sampleFuncs(d.Dims(), opt.samples(), opt.Seed)
-	ranks := make([]int, len(funcs))
-	workers := opt.workers()
-	// Reuse the parallel scaffolding: measure into a slice, no reduction.
-	type chunk struct{ lo, hi int }
-	chunks := make(chan chunk, workers)
-	done := make(chan struct{}, workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			for c := range chunks {
-				for i := c.lo; i < c.hi; i++ {
-					ranks[i] = rankRegretFor(d, funcs[i], subset)
-				}
-			}
-			done <- struct{}{}
-		}()
-	}
-	step := (len(funcs) + workers - 1) / workers
-	for lo := 0; lo < len(funcs); lo += step {
-		hi := lo + step
-		if hi > len(funcs) {
-			hi = len(funcs)
+	sorted := make([]int, len(funcs))
+	count := chunks(len(funcs))
+	shard.FanOut(count, count, func(c int) {
+		lo, hi := chunk(c, len(funcs), count)
+		for i := lo; i < hi; i++ {
+			sorted[i] = rankRegretFor(d, funcs[i], subset)
 		}
-		chunks <- chunk{lo, hi}
-	}
-	close(chunks)
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-
-	sorted := append([]int(nil), ranks...)
+	})
 	sort.Ints(sorted)
 	n := len(sorted)
 	quantile := func(q float64) int {

@@ -2,6 +2,7 @@ package eval_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"rrr/internal/eval"
@@ -54,14 +55,17 @@ func TestRankRegretDistributionMaxMatchesEstimate(t *testing.T) {
 }
 
 func TestRankRegretDistributionWorkerInvariance(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
 	rng := rand.New(rand.NewSource(41))
 	d := randomDataset(rng, 120, 3)
-	base, err := eval.RankRegretDistribution(d, []int{5}, 10, eval.Options{Samples: 500, Seed: 1, Workers: 1})
+	base, err := eval.RankRegretDistribution(d, []int{5}, 10, eval.Options{Samples: 500, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{2, 7, 32} {
-		got, err := eval.RankRegretDistribution(d, []int{5}, 10, eval.Options{Samples: 500, Seed: 1, Workers: w})
+	for _, w := range []int{2, 7, 16} {
+		runtime.GOMAXPROCS(w)
+		got, err := eval.RankRegretDistribution(d, []int{5}, 10, eval.Options{Samples: 500, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -97,7 +97,7 @@ func run2DPoint(ctx context.Context, d *core.Dataset, k int, x string) ([]Row, e
 		for _, set := range sets {
 			col.Add(set)
 		}
-		md, e = algo.MDRRR(ctx, d, k, algo.MDRRROptions{KSets: col})
+		md, e = algo.MDRRRFromSample(ctx, d, col, kset.SampleStats{}, nil, algo.MDRRROptions{})
 		return e
 	})
 	if err != nil {

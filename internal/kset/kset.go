@@ -11,6 +11,8 @@
 //     the unit hypersphere's positive orthant (Marsaglia sampling), take
 //     their top-k sets, and stop after a run of `Termination` consecutive
 //     draws that discover nothing new — the coupon-collector stopping rule.
+//     SampleMulti runs it for several k over one function stream; both run
+//     the one draw loop, Sample with a single k.
 //   - GraphEnumerate is Algorithm 6 (Appendix B): BFS over the k-set graph,
 //     whose vertices are k-sets and whose edges connect sets differing in
 //     one element (Theorem 7 proves the graph connected). Every candidate is
@@ -202,68 +204,15 @@ type SampleStats struct {
 // (or a HardMaxDraws overrun) Sample returns the partial collection and
 // stats alongside the error, so callers can report — or even use — what
 // the interrupted run discovered.
+//
+// Sample runs SampleMulti's draw loop with the one k.
 func Sample(ctx context.Context, d *core.Dataset, k int, opt SampleOptions) (*Collection, SampleStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	if err := checkK(d, k); err != nil {
+		return nil, SampleStats{}, err
 	}
-	if k <= 0 {
-		return nil, SampleStats{}, errors.New("kset: k must be positive")
-	}
-	if k > d.N() {
-		return nil, SampleStats{}, fmt.Errorf("kset: k=%d exceeds dataset size n=%d", k, d.N())
-	}
-	term := opt.Termination
-	if term <= 0 {
-		term = 100
-	}
-	maxDraws := opt.MaxDraws
-	if maxDraws <= 0 {
-		maxDraws = 2_000_000
-	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-	col := NewCollection()
-	sc := opt.Scratch
-	if sc == nil {
-		sc = new(SampleScratch)
-	}
-	w := sc.weight(d.Dims())
-	src := newSource(ctx, d, k)
-	stats := SampleStats{}
-	counter := 0
-	for counter <= term {
-		if stats.Draws >= maxDraws {
-			stats.Truncated = true
-			if opt.HardMaxDraws {
-				stats.Distinct = col.Len()
-				return col, stats, fmt.Errorf("%w after %d draws (%d k-sets found)",
-					ErrDrawBudget, stats.Draws, col.Len())
-			}
-			break
-		}
-		if stats.Draws%cancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				stats.Distinct = col.Len()
-				return col, stats, fmt.Errorf("kset: sampling canceled after %d draws: %w",
-					stats.Draws, err)
-			}
-			if opt.OnProgress != nil && stats.Draws%progressInterval == 0 {
-				stats.Distinct = col.Len()
-				opt.OnProgress(stats)
-			}
-		}
-		geom.RandomWeightInto(w, rng)
-		stats.Draws++
-		s, read := topk.TopKOrderScratch(d, src.order, src.norms, core.LinearFunc{W: w}, k, &sc.topk)
-		src.scanned(ctx, d, k, read)
-		sort.Ints(s)
-		if col.Add(s) {
-			counter = 0
-		} else {
-			counter++
-		}
-	}
-	stats.Distinct = col.Len()
-	return col, stats, nil
+	runs := [1]run{{k: k, active: true, col: NewCollection()}}
+	sample(ctx, d, runs[:], opt)
+	return runs[0].col, runs[0].stats, runs[0].err
 }
 
 // SampleMulti runs K-SETr for several k values over one shared stream of
@@ -285,14 +234,50 @@ func Sample(ctx context.Context, d *core.Dataset, k int, opt SampleOptions) (*Co
 // like Sample's. k values must be in [1, n]; duplicates are allowed and
 // evolve independently (their results are equal).
 func SampleMulti(ctx context.Context, d *core.Dataset, ks []int, opt SampleOptions) ([]*Collection, []SampleStats, []error) {
-	if ctx == nil {
-		ctx = context.Background()
+	runs := make([]run, len(ks))
+	for i, k := range ks {
+		err := checkK(d, k)
+		runs[i] = run{k: k, active: err == nil, col: NewCollection(), err: err}
 	}
+	sample(ctx, d, runs, opt)
 	cols := make([]*Collection, len(ks))
 	stats := make([]SampleStats, len(ks))
 	errs := make([]error, len(ks))
-	if len(ks) == 0 {
-		return cols, stats, errs
+	for i := range runs {
+		cols[i], stats[i], errs[i] = runs[i].col, runs[i].stats, runs[i].err
+	}
+	return cols, stats, errs
+}
+
+// checkK rejects a rank target outside [1, n].
+func checkK(d *core.Dataset, k int) error {
+	if k <= 0 {
+		return errors.New("kset: k must be positive")
+	}
+	if k > d.N() {
+		return fmt.Errorf("kset: k=%d exceeds dataset size n=%d", k, d.N())
+	}
+	return nil
+}
+
+// run is one k's state in the K-SETr draw loop.
+type run struct {
+	k int
+	// counter is the number of consecutive draws that found no new k-set.
+	counter int
+	active  bool
+	col     *Collection
+	stats   SampleStats
+	err     error
+}
+
+// sample is the K-SETr draw loop behind Sample and SampleMulti: one
+// function stream, one top-(largest active k) scan per draw, and per run
+// the stopping rules, collection and stats of an independent K-SETr run.
+// Runs that enter inactive are left as they are, apart from Distinct.
+func sample(ctx context.Context, d *core.Dataset, runs []run, opt SampleOptions) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	term := opt.Termination
 	if term <= 0 {
@@ -302,24 +287,6 @@ func SampleMulti(ctx context.Context, d *core.Dataset, ks []int, opt SampleOptio
 	if maxDraws <= 0 {
 		maxDraws = 2_000_000
 	}
-	type state struct {
-		k       int
-		counter int
-		active  bool
-	}
-	states := make([]*state, len(ks))
-	for i, k := range ks {
-		cols[i] = NewCollection()
-		if k <= 0 {
-			errs[i] = errors.New("kset: k must be positive")
-			continue
-		}
-		if k > d.N() {
-			errs[i] = fmt.Errorf("kset: k=%d exceeds dataset size n=%d", k, d.N())
-			continue
-		}
-		states[i] = &state{k: k, active: true}
-	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	sc := opt.Scratch
 	if sc == nil {
@@ -327,9 +294,9 @@ func SampleMulti(ctx context.Context, d *core.Dataset, ks []int, opt SampleOptio
 	}
 	w := sc.weight(d.Dims())
 	maxK := 0
-	for _, st := range states {
-		if st != nil {
-			maxK = max(maxK, st.k)
+	for i := range runs {
+		if runs[i].active {
+			maxK = max(maxK, runs[i].k)
 		}
 	}
 	var src source
@@ -338,48 +305,45 @@ func SampleMulti(ctx context.Context, d *core.Dataset, ks []int, opt SampleOptio
 	}
 	draws := 0
 	for {
-		// Per-k stopping rules, checked before each draw exactly as Sample
-		// checks its own: termination already fired (counter > term, caught
-		// below), or the draw budget is reached.
-		maxActive := 0
-		for i, st := range states {
-			if st == nil || !st.active {
+		// Per-run stopping rules, checked before each draw: termination
+		// already fired (counter > term, caught below), or the draw budget
+		// is reached.
+		maxActive, active := 0, 0
+		for i := range runs {
+			r := &runs[i]
+			if !r.active {
 				continue
 			}
 			if draws >= maxDraws {
-				stats[i].Truncated = true
+				r.stats.Truncated = true
 				if opt.HardMaxDraws {
-					stats[i].Distinct = cols[i].Len()
-					errs[i] = fmt.Errorf("%w after %d draws (%d k-sets found)",
-						ErrDrawBudget, stats[i].Draws, cols[i].Len())
+					r.err = fmt.Errorf("%w after %d draws (%d k-sets found)",
+						ErrDrawBudget, r.stats.Draws, r.col.Len())
 				}
-				st.active = false
+				r.active = false
 				continue
 			}
-			if st.k > maxActive {
-				maxActive = st.k
-			}
+			maxActive = max(maxActive, r.k)
+			active++
 		}
-		if maxActive == 0 {
+		if active == 0 {
 			break
 		}
 		if draws%cancelCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
-				for i, st := range states {
-					if st == nil || !st.active {
-						continue
+				for i := range runs {
+					if r := &runs[i]; r.active {
+						r.err = fmt.Errorf("kset: sampling canceled after %d draws: %w",
+							r.stats.Draws, err)
+						r.active = false
 					}
-					stats[i].Distinct = cols[i].Len()
-					errs[i] = fmt.Errorf("kset: sampling canceled after %d draws: %w",
-						stats[i].Draws, err)
-					st.active = false
 				}
 				break
 			}
 			if opt.OnProgress != nil && draws%progressInterval == 0 {
 				agg := SampleStats{Draws: draws}
-				for i := range cols {
-					agg.Distinct += cols[i].Len()
+				for i := range runs {
+					agg.Distinct += runs[i].col.Len()
 				}
 				opt.OnProgress(agg)
 			}
@@ -388,29 +352,35 @@ func SampleMulti(ctx context.Context, d *core.Dataset, ks []int, opt SampleOptio
 		draws++
 		ordered, read := topk.TopKOrderScratch(d, src.order, src.norms, core.LinearFunc{W: w}, maxActive, &sc.topk)
 		src.scanned(ctx, d, maxActive, read)
-		for i, st := range states {
-			if st == nil || !st.active {
+		for i := range runs {
+			r := &runs[i]
+			if !r.active {
 				continue
 			}
-			stats[i].Draws++
-			// Canonicalize the length-k prefix in the arena; Add copies it
-			// only when the set is genuinely new.
-			sc.prefix = append(sc.prefix[:0], ordered[:st.k]...)
-			sort.Ints(sc.prefix)
-			if cols[i].Add(sc.prefix) {
-				st.counter = 0
-			} else {
-				st.counter++
+			r.stats.Draws++
+			// A lone active run canonicalizes the draw's order in place;
+			// with several, each copies its prefix into the arena, because
+			// the others still read the rank order. Add copies the set only
+			// when it is new.
+			set := ordered[:r.k]
+			if active > 1 {
+				sc.prefix = append(sc.prefix[:0], set...)
+				set = sc.prefix
 			}
-			if st.counter > term {
-				st.active = false
+			sort.Ints(set)
+			if r.col.Add(set) {
+				r.counter = 0
+			} else {
+				r.counter++
+			}
+			if r.counter > term {
+				r.active = false
 			}
 		}
 	}
-	for i := range cols {
-		stats[i].Distinct = cols[i].Len()
+	for i := range runs {
+		runs[i].stats.Distinct = runs[i].col.Len()
 	}
-	return cols, stats, errs
 }
 
 // source is the tuple order a K-SETr run's top-k scans read. Every
@@ -496,17 +466,14 @@ type GraphOptions struct {
 	// Seed drives the fallback search for an initial k-set when the
 	// axis-aligned seed function is degenerate (ties on attribute 1).
 	Seed int64
-	// Workers bounds the parallelism of the per-vertex LP validations
-	// (default GOMAXPROCS). Candidates of one BFS vertex are validated
-	// concurrently and their results applied in deterministic order, so
-	// the enumeration is identical for any worker count.
-	Workers int
 }
 
 // GraphEnumerate is Algorithm 6: exact k-set enumeration by BFS over the
 // k-set graph. The initial vertex is the top-k on the first attribute; each
 // expansion swaps one member for one non-member and validates the candidate
-// with the separation LP.
+// with the separation LP. Candidates of one BFS vertex are validated on up
+// to GOMAXPROCS goroutines and their results applied in deterministic
+// order, so the enumeration is identical for any GOMAXPROCS.
 func GraphEnumerate(d *core.Dataset, k int, opt GraphOptions) (*Collection, error) {
 	if k <= 0 {
 		return nil, errors.New("kset: k must be positive")
@@ -527,10 +494,7 @@ func GraphEnumerate(d *core.Dataset, k int, opt GraphOptions) (*Collection, erro
 	if err != nil {
 		return nil, err
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	col := NewCollection()
 	col.Add(start)
 	queue := [][]int{start}

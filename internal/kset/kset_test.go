@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -320,16 +321,19 @@ func TestGraphEnumerate3DCoversSampledTopK(t *testing.T) {
 }
 
 // TestGraphEnumerateWorkerInvariance: the parallel LP validation must not
-// change the enumeration for any worker count.
+// change the enumeration for any worker count (GOMAXPROCS).
 func TestGraphEnumerateWorkerInvariance(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
 	rng := rand.New(rand.NewSource(91))
 	d := randomDataset(rng, 12, 3)
-	base, err := kset.GraphEnumerate(d, 2, kset.GraphOptions{Workers: 1})
+	base, err := kset.GraphEnumerate(d, 2, kset.GraphOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := kset.GraphEnumerate(d, 2, kset.GraphOptions{Workers: workers})
+		runtime.GOMAXPROCS(workers)
+		got, err := kset.GraphEnumerate(d, 2, kset.GraphOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -214,8 +214,8 @@ func (s *Solver) solveInto(ctx context.Context, d *Dataset, k int, algorithm Alg
 
 // solveOnInto runs the resolved algorithm on runData and assembles the
 // public result into res, resetting every field so a reused Result never
-// leaks a previous solve's counters. SolveInto, the dual search's probes
-// and Revalidate's repair share it.
+// leaks a previous solve's counters. SolveInto and Revalidate's repair
+// share it.
 func (s *Solver) solveOnInto(ctx context.Context, runData *Dataset, k int, algorithm Algorithm, start time.Time, arena *solveArena, res *Result) error {
 	rec, parent := trace.FromContext(ctx)
 	sid := rec.Start(solvePhase(algorithm), parent)
@@ -284,29 +284,24 @@ func (s *Solver) twoDOptions(onProgress func(algo.Stats)) algo.TwoDOptions {
 	return algo.TwoDOptions{Cover: coverStrategy, OnProgress: onProgress}
 }
 
-// samplerOptions assembles the K-SETr configuration from the solver
-// options, including the soft-cap/hard-budget distinction.
-func (s *Solver) samplerOptions() kset.SampleOptions {
+// mdrrrOptions assembles the MDRRR configuration, K-SETr's soft cap or
+// hard budget included, from the solver options.
+func (s *Solver) mdrrrOptions(onProgress func(algo.Stats)) algo.MDRRROptions {
 	maxDraws, hard := s.cfg.softMaxDraws, false
 	if s.cfg.drawBudget > 0 {
 		maxDraws, hard = s.cfg.drawBudget, true
 	}
-	return kset.SampleOptions{
-		Termination:  s.cfg.samplerTermination,
-		MaxDraws:     maxDraws,
-		HardMaxDraws: hard,
-		Seed:         s.cfg.seed,
-	}
-}
-
-// mdrrrOptions assembles the MDRRR configuration from the solver options.
-func (s *Solver) mdrrrOptions(onProgress func(algo.Stats)) algo.MDRRROptions {
 	strategy := algo.HitGreedy
 	if s.cfg.epsilonNetHitting {
 		strategy = algo.HitEpsilonNet
 	}
 	return algo.MDRRROptions{
-		Sampler:    s.samplerOptions(),
+		Sampler: kset.SampleOptions{
+			Termination:  s.cfg.samplerTermination,
+			MaxDraws:     maxDraws,
+			HardMaxDraws: hard,
+			Seed:         s.cfg.seed,
+		},
 		Strategy:   strategy,
 		OnProgress: onProgress,
 	}
@@ -328,86 +323,37 @@ func (s *Solver) mdrcOptions(onProgress func(algo.Stats)) algo.MDRCOptions {
 
 // MinimalKForSize solves the paper's dual formulation (Section 2): given a
 // budget on the output size, find the smallest k for which a representative
-// of at most that size exists, by binary search over k with Solve as the
+// of at most that size exists, by binary search over k with a solve as the
 // oracle. It returns the achieved k and its representative.
 //
-// The context is checked between binary-search probes as well as inside
-// each probe. On interruption the returned *Error carries the best
-// (smallest-k) feasible result found so far in Partial.BestK/Partial.Best,
-// so callers keep the strongest answer the budget bought.
+// MinimalKForSize is a one-item SolveBatch of the Request{Size: size}, so
+// its answer is that batch item's, and the result's Elapsed counts from
+// the start of the search. The context is checked between binary-search
+// probes as well as inside each probe. Every *Error it returns has Op
+// "minimal-k"; on interruption it carries the best (smallest-k) feasible
+// result found so far in Partial.BestK/Partial.Best, so callers keep the
+// strongest answer the budget bought.
 func (s *Solver) MinimalKForSize(ctx context.Context, d *Dataset, size int) (int, *Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if d == nil {
-		return 0, nil, errors.New("rrr: nil dataset")
-	}
 	if size <= 0 {
 		return 0, nil, fmt.Errorf("rrr: size budget must be positive, got %d", size)
 	}
-	algorithm := s.cfg.algorithm.Resolve(d.Dims())
-	if err := validateAlgorithm(algorithm); err != nil {
+	br, err := s.SolveBatch(ctx, d, []Request{{Size: size}})
+	if err != nil {
+		// The batch's one typed call error is its dimensionality check.
+		var e *Error
+		if errors.As(err, &e) {
+			out := *e
+			out.Op = "minimal-k"
+			return 0, nil, &out
+		}
 		return 0, nil, err
 	}
-	start := time.Now()
-	lo, hi := 1, d.N()
-	var best *Result
-	bestK := 0
-	// One arena serves the whole search; each probe gets a fresh Result
-	// because the best one is retained across probes and returned.
-	arena := s.arenas.get()
-	defer s.arenas.put(arena)
-	probe := func(mid int) (*Result, error) {
-		if err := validateDims(algorithm, d.Dims()); err != nil {
-			return nil, err
-		}
-		res := new(Result)
-		if err := s.solveOnInto(ctx, d, mid, algorithm, time.Now(), arena, res); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	for lo <= hi {
-		// Check between probes: a canceled search must not launch another
-		// solve just to have it fail.
-		if err := ctx.Err(); err != nil {
-			return 0, nil, &Error{Kind: ErrCanceled, Op: "minimal-k", Algorithm: algorithm, Cause: err,
-				Partial: PartialStats{Elapsed: time.Since(start), BestK: bestK, Best: best}}
-		}
-		mid := (lo + hi) / 2
-		res, err := probe(mid)
-		if err != nil {
-			var e *Error
-			if errors.As(err, &e) {
-				// Re-wrap the probe's typed error with the search state.
-				out := *e
-				out.Op = "minimal-k"
-				out.Partial.Elapsed = time.Since(start)
-				out.Partial.BestK = bestK
-				out.Partial.Best = best
-				return 0, nil, &out
-			}
-			return 0, nil, err
-		}
-		if len(res.IDs) <= size {
-			best, bestK = res, mid
-			hi = mid - 1
-		} else {
-			lo = mid + 1
-		}
-	}
-	if best == nil {
-		// k = n always admits a singleton representative, so this cannot
-		// happen for size >= 1; defend anyway.
-		return 0, nil, &Error{Kind: ErrInfeasible, Op: "minimal-k", Algorithm: algorithm,
-			Cause:   fmt.Errorf("no k admits a representative of size <= %d", size),
-			Partial: PartialStats{Elapsed: time.Since(start)}}
-	}
-	return bestK, best, nil
+	it := br.Items[0]
+	return it.K, it.Result, it.Err
 }
 
 // validateAlgorithm rejects names outside the known algorithm set before
-// any work runs. Solve, MinimalKForSize and SolveBatch share it.
+// any work runs. Solve and SolveBatch share it.
 func validateAlgorithm(algorithm Algorithm) error {
 	switch algorithm {
 	case Algo2DRRR, AlgoMDRRR, AlgoMDRC:
