@@ -18,7 +18,7 @@ import (
 	"rrr/internal/topk"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/dd_answers.golden from the current code")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata/*.golden files from the current code")
 
 // goldenInputs are the d-D solves whose answers and work counters are
 // pinned byte for byte: the benchmark's cold MDRC data (BN-like d = 4,
