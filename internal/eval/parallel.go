@@ -17,12 +17,16 @@ import (
 // order, so ties between equally bad samples resolve toward the smallest
 // sample index.
 
-// sampleFuncs draws the estimator's function set sequentially.
+// sampleFuncs draws the estimator's function set sequentially, every
+// weight vector into one n·dims backing array.
 func sampleFuncs(dims, n int, seed int64) []core.LinearFunc {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]core.LinearFunc, n)
+	ws := make([]float64, n*dims)
 	for i := range out {
-		out[i] = geom.RandomFunc(dims, rng)
+		w := ws[i*dims : (i+1)*dims : (i+1)*dims]
+		geom.RandomWeightInto(w, rng)
+		out[i] = core.LinearFunc{W: w}
 	}
 	return out
 }

@@ -98,21 +98,8 @@ func FuncFromAngle2D(theta float64) core.LinearFunc {
 // standard normal draws and normalize.
 func RandomWeight(d int, rng *rand.Rand) []float64 {
 	w := make([]float64, d)
-	for {
-		var norm2 float64
-		for i := range w {
-			w[i] = math.Abs(rng.NormFloat64())
-			norm2 += w[i] * w[i]
-		}
-		if norm2 == 0 {
-			continue // astronomically unlikely; redraw
-		}
-		norm := math.Sqrt(norm2)
-		for i := range w {
-			w[i] /= norm
-		}
-		return w
-	}
+	RandomWeightInto(w, rng)
+	return w
 }
 
 // RandomFunc draws a ranking function uniformly from the function space.
@@ -120,11 +107,11 @@ func RandomFunc(d int, rng *rand.Rand) core.LinearFunc {
 	return core.LinearFunc{W: RandomWeight(d, rng)}
 }
 
-// RandomWeightInto draws like RandomWeight but writes into the caller's
-// length-d buffer instead of allocating, so sampling loops can reuse one
-// weight vector across thousands of draws. The RNG consumption is identical
-// to RandomWeight, keeping seeded streams bit-for-bit reproducible across
-// the two entry points.
+// RandomWeightInto is RandomWeight writing into the caller's length-d
+// buffer instead of allocating, so sampling loops can reuse one weight
+// vector across thousands of draws, or carve many from one backing array.
+// RandomWeight is this draw on a fresh buffer, so seeded streams are
+// bit-for-bit reproducible across the two entry points.
 func RandomWeightInto(w []float64, rng *rand.Rand) {
 	for {
 		var norm2 float64
