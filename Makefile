@@ -25,8 +25,9 @@ race:
 
 # Fuzz smoke: a short budgeted run of each native fuzz target, catching
 # decoder panics and non-canonical encodings before they reach a corpus,
-# any input on which the skyband-pruned 2-D sweep disagrees with the
-# unfiltered one, any on which the 2-D entry points (Solve, SolveInto,
+# any input on which the skyband-pruned, sector-bisected 2-D sweep
+# disagrees with the unfiltered one (for one k, and for several in one
+# FindRangesMulti pass), any on which the 2-D entry points (Solve, SolveInto,
 # SolveBatch, algo.TwoDRRR, Profile2D) disagree, any on which the
 # early-exit top-k scan disagrees with the full sort, any on which the
 # dominator-count index disagrees with the pairwise count, and any on
@@ -36,7 +37,8 @@ race:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s ./internal/trace/
-	$(GO) test -run '^$$' -fuzz FuzzFindRanges -fuzztime 10s ./internal/sweep/
+	$(GO) test -run '^$$' -fuzz '^FuzzFindRanges$$' -fuzztime 10s ./internal/sweep/
+	$(GO) test -run '^$$' -fuzz FuzzFindRangesMulti -fuzztime 10s ./internal/sweep/
 	$(GO) test -run '^$$' -fuzz FuzzTwoDRRR -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzTopK -fuzztime 10s ./internal/topk/
 	$(GO) test -run '^$$' -fuzz FuzzDominators -fuzztime 10s ./internal/core/

@@ -260,7 +260,11 @@ func (b *batchRun) solveGrid(ctx context.Context, ks []int) {
 // the per-k interval covers across the pool.
 func (b *batchRun) gridTwoD(ctx context.Context, ks []int) {
 	s := b.solver
-	rangesPerK, err := sweep.FindRangesMulti(ctx, b.d, ks)
+	// The shared sweep borrows one solve arena; its ranges alias the
+	// arena, so it is returned only after the covers have read them.
+	arena := s.arenas.get()
+	defer s.arenas.put(arena)
+	rangesPerK, err := sweep.FindRangesMulti(ctx, b.d, ks, &arena.twod.Sweep)
 	b.stats.Sweeps++
 	if err != nil {
 		// The sweep failed for every k at once; each item reports it the

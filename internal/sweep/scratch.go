@@ -13,29 +13,38 @@ import (
 
 // Scratch is the sweep's arena and its one event loop: the rank order and
 // position arrays, the k-skyband heap, the event heap, the pending-pair
-// set, and the boundary state of FindRangesScratch. Every consumer runs
-// the loop through it — start, then step until it reports the queue
-// empty — and keeps its per-event bookkeeping in its own loop body, so no
-// callback sits between the loop and the consumer. A warm Scratch makes
-// repeated sweeps over same-sized datasets allocation-free: every slice
-// is resized in place and the pending set's table is rewiped, not
-// reallocated.
+// set, the sector bisection's state, and the boundary state of the
+// FindRanges kernels. Every consumer runs the loop through it — start,
+// then step until it reports no event before the loop's end — and keeps
+// its per-event bookkeeping in its own loop body, so no callback sits
+// between the loop and the consumer. A warm Scratch makes repeated sweeps
+// over same-sized datasets allocation-free: every slice is resized in
+// place and the pending set's table is rewiped, not reallocated.
 //
 // A Scratch is owned by exactly one sweep at a time: it is not safe for
-// concurrent use, and the []Range returned by FindRangesScratch aliases the
-// arena, staying valid only until the Scratch's next use. The zero value is
-// ready to use.
+// concurrent use, and the ranges the FindRanges kernels return alias the
+// arena, staying valid only until the Scratch's next use. The zero value
+// is ready to use.
 type Scratch struct {
-	order   []int // local indexes in current rank order
+	initial []int // every local index in initial order, or its k-skyband
+	order   []int // the order the loop sweeps: initial, or a sector's band
 	pos     []int // position in order, by local index
 	heap    eventHeap
 	pending pairSet
-	events  int // live exchanges applied since start
+	end     float64 // step applies only events keyed below end
+	events  int     // live exchanges applied since initOrder
 	sorter  initialSorter
-	band    []float64 // the k-skyband pass's heap of x2 values
+	band    []float64 // the band passes' heap of scores
+	sectors bisection
 
 	bound  boundary // FindRangesScratch's single-k tracker
 	ranges []Range
+
+	// FindRangesMulti's trackers, its position-to-tracker table and its
+	// per-k result slices.
+	multi    []boundary
+	at       []*boundary
+	rangesAt [][]Range
 }
 
 // initialSorter sorts local indexes by the library's initial-order rule
@@ -82,25 +91,28 @@ func growBytes(s []uint8, n int) []uint8 {
 }
 
 // initOrder fills sc.order with the initial rank order — every tuple's
-// local index, sorted for θ → 0⁺ — reusing the arena's slice.
+// local index, sorted for θ → 0⁺ — reusing the arena's slice, and zeroes
+// the exchange count.
 func (sc *Scratch) initOrder(d *core.Dataset) error {
 	if d.Dims() != 2 {
 		return errors.New("sweep: requires a 2-D dataset")
 	}
-	sc.order = growInts(sc.order, d.N())
-	for i := range sc.order {
-		sc.order[i] = i
+	sc.initial = growInts(sc.initial, d.N())
+	for i := range sc.initial {
+		sc.initial[i] = i
 	}
-	sc.sorter.ts, sc.sorter.idx = d.Tuples(), sc.order
+	sc.sorter.ts, sc.sorter.idx = d.Tuples(), sc.initial
 	sort.Sort(&sc.sorter)
 	sc.sorter.ts, sc.sorter.idx = nil, nil // do not retain the dataset
+	sc.order = sc.initial
+	sc.events = 0
 	return nil
 }
 
 // initBand fills sc.order with the k-skyband of d in initial order (see
-// skyband) and starts the sweep over it. The band is the order
-// FindRangesScratch and FindRangesMulti sweep; the tuples it drops never
-// reach the top-k boundary.
+// skyband) and puts it on the sector stack as the root sector [0, π/2].
+// The band is what FindRangesScratch and FindRangesMulti sweep, sector by
+// sector (nextLeaf); the tuples it drops never reach the top-k boundary.
 func (sc *Scratch) initBand(d *core.Dataset, k int) error {
 	if k <= 0 {
 		return errors.New("sweep: k must be positive")
@@ -115,28 +127,40 @@ func (sc *Scratch) initBand(d *core.Dataset, k int) error {
 	ts := d.Tuples()
 	sc.band = growFloats(sc.band, n) // sized by n, not k, so any k reuses it
 	sc.order, sc.band = skyband(ts, sc.order, k, sc.band)
-	sc.start(ts)
+	sc.bisect(ts, k)
 	return nil
 }
 
 // start begins a sweep over sc.order, which holds local indexes of ts in
-// initial order — every tuple, or only a prefix-closed band of them. It
-// sets the positions, empties the event queue and schedules every
-// adjacent pair. Local indexes stay dataset-wide, so pos and the
-// pending-pair key keep their full size len(ts) whatever the order
-// covers. The event heap is sized up front for one event per adjacent
-// pair, so a cold arena does not grow it one doubling at a time.
-func (sc *Scratch) start(ts []core.Tuple) {
+// the loop's order at the sweep's first angle — all of them in initial
+// order, or a sector's band — that ends before the first event keyed at
+// or above end. It sets the positions, empties the event queue and
+// schedules every adjacent pair. Local indexes stay dataset-wide, so pos
+// and the pending-pair key keep their full size len(ts) whatever the
+// order covers. The event heap is sized up front for one event per
+// adjacent pair, so a cold arena does not grow it one doubling at a time.
+func (sc *Scratch) start(ts []core.Tuple, end float64) {
 	sc.pos = growInts(sc.pos, len(ts))
 	for p, li := range sc.order {
 		sc.pos[li] = p
 	}
 	sc.heap = slices.Grow(sc.heap[:0], len(sc.order))
 	sc.pending.reset()
-	sc.events = 0
+	sc.end = end
 	for p := 0; p < len(sc.order)-1; p++ {
 		sc.schedule(p, ts)
 	}
+}
+
+// crossing is the loop's exchange rule: the event key at which below
+// overtakes above, the tuple ranked just ahead of it, and whether it ever
+// does. It does only if below is strictly better on x2; otherwise their
+// crossing, if any, is behind the sweep.
+func crossing(above, below core.Tuple) (float64, bool) {
+	if below.Attrs[1] <= above.Attrs[1] {
+		return 0, false
+	}
+	return geom.CrossAngle2D(above, below)
 }
 
 // schedule pushes the exchange event for the adjacent pair at positions
@@ -146,12 +170,7 @@ func (sc *Scratch) schedule(p int, ts []core.Tuple) {
 		return
 	}
 	u, v := sc.order[p], sc.order[p+1]
-	// v overtakes u at larger angles only if v is strictly better on x2;
-	// otherwise their crossing (if any) is behind the sweep.
-	if ts[v].Attrs[1] <= ts[u].Attrs[1] {
-		return
-	}
-	theta, ok := geom.CrossAngle2D(ts[u], ts[v])
+	theta, ok := crossing(ts[u], ts[v])
 	if !ok {
 		return
 	}
@@ -165,7 +184,8 @@ func (sc *Scratch) schedule(p int, ts []core.Tuple) {
 // one still names an adjacent pair, swaps the pair in the order,
 // reschedules the pairs the swap made adjacent, and returns the exchange
 // with the position p it happened at (e.above moved from p to p+1). ok is
-// false once the queue is empty. ts must be the slice start was given.
+// false once no event keyed below the sweep's end is left. ts must be the
+// slice start was given.
 //
 // A scheduled event that finds its pair no longer adjacent is discarded:
 // the pair is rescheduled when it becomes adjacent again, which must
@@ -175,7 +195,7 @@ func (sc *Scratch) schedule(p int, ts []core.Tuple) {
 // assumption the paper makes.
 func (sc *Scratch) step(ts []core.Tuple) (e event, p int, ok bool) {
 	n := int64(len(ts))
-	for len(sc.heap) > 0 {
+	for len(sc.heap) > 0 && sc.heap[0].theta < sc.end {
 		e = sc.heap.pop()
 		sc.pending.remove(int64(e.above)*n + int64(e.below))
 		p = sc.pos[e.above]
@@ -281,7 +301,10 @@ func (b *boundary) appendRanges(out []Range, ts []core.Tuple) []Range {
 // the output container.
 //
 // The ranges are the same set FindRanges returns — only the container
-// (ordered slice vs ID-keyed map) differs.
+// (ordered slice vs ID-keyed map) differs. The sweep runs sector by
+// sector (see nextLeaf), and one tracker reads every leaf's exchanges at
+// position k−1: at a leaf's first angle the top-k is the first k of its
+// band, so the tracker carries over from the leaf before.
 func FindRangesScratch(ctx context.Context, d *core.Dataset, k int, sc *Scratch) ([]Range, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -296,16 +319,18 @@ func FindRangesScratch(ctx context.Context, d *core.Dataset, k int, sc *Scratch)
 	// The first k tuples have fewer than k dominators, so they head the
 	// band at their initial positions.
 	sc.bound.reset(len(ts), sc.order[:k])
-	for {
-		e, p, ok := sc.step(ts)
-		if !ok {
-			break
-		}
-		if err := sc.canceled(ctx); err != nil {
-			return nil, err
-		}
-		if p == k-1 {
-			sc.bound.exchange(e)
+	for sc.nextLeaf(ts) {
+		for {
+			e, p, ok := sc.step(ts)
+			if !ok {
+				break
+			}
+			if err := sc.canceled(ctx); err != nil {
+				return nil, err
+			}
+			if p == k-1 {
+				sc.bound.exchange(e)
+			}
 		}
 	}
 	sc.ranges = sc.bound.appendRanges(sc.ranges[:0], ts)

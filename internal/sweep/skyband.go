@@ -1,6 +1,9 @@
 package sweep
 
-import "rrr/internal/core"
+import (
+	"rrr/internal/core"
+	"rrr/internal/geom"
+)
 
 // skyband compacts order, which must be sorted by the initial-order rule
 // (x1 desc, x2 desc, ID asc), in place to the tuples with fewer than k
@@ -21,35 +24,11 @@ import "rrr/internal/core"
 // either attribute never count as domination, which keeps the filter
 // conservative on duplicates and shared coordinates.
 //
-// The pass walks the order once with the k largest x2 values seen so far
-// in a min-heap. Each equal-x1 group is tested against the heap before any
-// of its members are inserted, so only tuples with strictly greater x1
-// are counted; a tuple is dropped when the heap is full and its minimum
-// is above the tuple's x2. O(n log k).
+// It is the sector pass (sectorBand) on the whole quadrant with no
+// margin: the scores at 0 and π/2 are x1 and x2 exactly, and comparisons
+// of the coordinates themselves need none. O(n log k).
 func skyband(ts []core.Tuple, order []int, k int, band []float64) ([]int, []float64) {
-	band = band[:0]
-	w := 0
-	for i := 0; i < len(order); {
-		x1 := ts[order[i]].Attrs[0]
-		j := i + 1
-		for j < len(order) && ts[order[j]].Attrs[0] == x1 {
-			j++
-		}
-		kept := w
-		for _, li := range order[i:j] {
-			if len(band) < k || band[0] <= ts[li].Attrs[1] {
-				order[w] = li
-				w++
-			}
-		}
-		// Only survivors are inserted: a dropped member's x2 is below the
-		// heap minimum, so inserting it would change nothing.
-		for _, li := range order[kept:w] {
-			band = pushBand(band, k, ts[li].Attrs[1])
-		}
-		i = j
-	}
-	return order[:w], band
+	return sectorBand(ts, order, k, directionAt(0), directionAt(geom.HalfPi), 0, band)
 }
 
 // pushBand adds x to the min-heap h, which keeps only the k largest

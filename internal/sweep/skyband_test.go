@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -89,7 +90,7 @@ func checkSkyband(t testing.TB, d *core.Dataset, ks []int, sc *Scratch) (pruned 
 	t.Helper()
 	ctx := context.Background()
 	want := referenceRanges(t, d, ks)
-	multi, err := FindRangesMulti(ctx, d, ks)
+	multi, err := FindRangesMulti(ctx, d, ks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +147,10 @@ func checkSkyband(t testing.TB, d *core.Dataset, ks []int, sc *Scratch) (pruned 
 
 // degenerateDataset draws one of the sweep's hard cases: grid-valued
 // points (many shared coordinates and concurrent crossings), a few points
-// repeated exactly, or points on the line x1 + x2 = 1 (every pair crosses
-// at θ = π/4), mixed with off-line points.
+// repeated exactly, points on the line x1 + x2 = 1 (every pair crosses
+// at θ = π/4) mixed with off-line points, or (family 3) near-duplicates:
+// a few points each moved by up to three ulps per coordinate, whose
+// scores differ only by rounding at most angles.
 func degenerateDataset(rng *rand.Rand, family, n int) *core.Dataset {
 	points := make([][]float64, n)
 	switch family {
@@ -164,6 +167,20 @@ func degenerateDataset(rng *rand.Rand, family, n int) *core.Dataset {
 		}
 		for i := range points {
 			points[i] = append([]float64(nil), base[rng.Intn(distinct)]...)
+		}
+	case 3: // near-duplicates of a few distinct points
+		base := make([][]float64, 1+rng.Intn(3))
+		for i := range base {
+			base[i] = []float64{rng.Float64(), rng.Float64()}
+		}
+		for i := range points {
+			p := slices.Clone(base[rng.Intn(len(base))])
+			for j := range p {
+				for s := rng.Intn(4); s > 0; s-- {
+					p[j] = math.Nextafter(p[j], float64(2*rng.Intn(2)-1)*2)
+				}
+			}
+			points[i] = p
 		}
 	default: // on (and below) x1 + x2 = 1
 		g := 3 + rng.Intn(6)
@@ -264,5 +281,129 @@ func FuzzFindRanges(f *testing.F) {
 		}
 		k := 1 + int(kb)%n
 		checkSkyband(t, core.MustNewDataset(points), []int{k}, new(Scratch))
+	})
+}
+
+// TestSectorsMatchUnfilteredSweepDegenerate holds the sector path to the
+// unfiltered oracle on the four degenerate families (checkSkyband's
+// checks, every k ≤ n ≤ 15), and counts the cases whose sweep split into sectors
+// and the split angles the check refused. Either count at zero means the
+// equivalence exercised nothing of the bisection or of its check.
+func TestSectorsMatchUnfilteredSweepDegenerate(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	trials := 2000
+	if testing.Short() {
+		trials = 200
+	}
+	var sc Scratch
+	cases, splitCases, refused := 0, 0, 0
+	for trial := 0; trial < trials; trial++ {
+		n := 1 + rng.Intn(15)
+		d := degenerateDataset(rng, trial%4, n)
+		for k := 1; k <= n; k++ {
+			cases++
+			checkSkyband(t, d, []int{k}, &sc)
+			if sc.sectors.leaves > 1 {
+				splitCases++
+			}
+			refused += sc.sectors.refused
+		}
+	}
+	if splitCases == 0 || refused == 0 {
+		t.Fatalf("%d cases split, %d split angles refused: the sector check exercised nothing", splitCases, refused)
+	}
+	t.Logf("%d cases, %d (%.0f%%) split into sectors, %d split angles refused", cases, splitCases, 100*float64(splitCases)/float64(cases), refused)
+}
+
+// TestSectorSplitRefusedAtConcurrentCrossing: every pair of points on
+// x1 + x2 = 1 crosses at π/4, the first split point. The check must refuse
+// it, and the sweep, split at other points, must still equal the
+// unfiltered one.
+func TestSectorSplitRefusedAtConcurrentCrossing(t *testing.T) {
+	const n = 12
+	points := make([][]float64, n)
+	for i := range points {
+		a := float64(i) / (n - 1)
+		points[i] = []float64{a, 1 - a}
+	}
+	d := core.MustNewDataset(points)
+	var sc Scratch
+	if err := sc.initBand(d, 2); err != nil {
+		t.Fatal(err)
+	}
+	var sorted []int
+	if m := geom.HalfPi / 2; sc.sortCertified(d.Tuples(), sc.order, m, directionAt(m), &sorted) {
+		t.Fatal("the split at π/4, where every pair crosses, passed the check")
+	}
+	for _, k := range []int{1, 2, 3} {
+		checkSkyband(t, d, []int{k}, &sc)
+		if sc.sectors.refused == 0 || sc.sectors.leaves < 2 {
+			t.Fatalf("k=%d: %d leaves, %d refused; want the π/4 split refused and another taken", k, sc.sectors.leaves, sc.sectors.refused)
+		}
+	}
+}
+
+// TestFindRangesScratchAllocFree: a warm FindRangesScratch allocates
+// nothing when its sweep splits into sectors, on the benchmark's cold 2-D
+// data (DOT-like, n = 1000) at k = 100 and on the input of the root
+// package's TestSolveIntoAllocFree2D (independent, n = 2000, seed 7,
+// k = 10).
+func TestFindRangesScratchAllocFree(t *testing.T) {
+	dot, err := dataset.DOTLike(1000, 1).FirstDims(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		tab  *dataset.Table
+		k    int
+	}{
+		{"dot", dot, 100},
+		{"independent", dataset.Independent(2000, 2, 7), 10},
+	} {
+		d, err := c.tab.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		var sc Scratch
+		if _, err := FindRangesScratch(ctx, d, c.k, &sc); err != nil {
+			t.Fatal(err)
+		}
+		if sc.sectors.leaves < 2 {
+			t.Fatalf("%s k=%d: the sweep did not split", c.name, c.k)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := FindRangesScratch(ctx, d, c.k, &sc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s k=%d: warm FindRangesScratch allocates %.1f times per run over %d sectors, want 0", c.name, c.k, allocs, sc.sectors.leaves)
+		}
+	}
+}
+
+// FuzzFindRangesMulti runs the oracle on one FindRangesMulti call over
+// two or three k values: up to 12 points on a 6×6 grid (two bytes per
+// point), and each k in [1, n]; a zero third byte leaves it out.
+func FuzzFindRangesMulti(f *testing.F) {
+	f.Add([]byte{0, 5, 1, 4, 2, 3, 3, 2, 4, 1, 5, 0}, uint8(1), uint8(3), uint8(0))
+	f.Add([]byte{3, 3, 3, 3, 3, 3, 1, 1, 5, 5}, uint8(0), uint8(2), uint8(4))
+	f.Add([]byte{5, 1, 4, 2, 4, 2, 1, 5, 2, 2, 0, 0, 3, 1, 1, 3, 5, 5, 0, 3, 3, 0, 2, 5}, uint8(1), uint8(2), uint8(7))
+	f.Fuzz(func(t *testing.T, raw []byte, k1, k2, k3 uint8) {
+		n := min(len(raw)/2, 12)
+		if n == 0 {
+			return
+		}
+		points := make([][]float64, n)
+		for i := range points {
+			points[i] = []float64{float64(raw[2*i]%6) / 5, float64(raw[2*i+1]%6) / 5}
+		}
+		ks := []int{1 + int(k1)%n, 1 + int(k2)%n}
+		if k3 != 0 {
+			ks = append(ks, 1+int(k3-1)%n)
+		}
+		checkSkyband(t, core.MustNewDataset(points), ks, new(Scratch))
 	})
 }

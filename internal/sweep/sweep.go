@@ -35,6 +35,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -149,7 +150,7 @@ func Sweep(d *core.Dataset, visit func(Event) bool) (int, error) {
 		return 0, err
 	}
 	ts := d.Tuples()
-	sc.start(ts)
+	sc.start(ts, math.Inf(1))
 	for {
 		e, p, ok := sc.step(ts)
 		if !ok {
@@ -199,13 +200,18 @@ func FindRanges(ctx context.Context, d *core.Dataset, k int) (map[int]Range, err
 // single sweep: the boundary exchange of order k happens at position k−1,
 // so one pass can watch all requested boundaries at once. The sweep covers
 // the k-skyband of the largest requested k, which contains the skyband of
-// every smaller one. It returns one range slice per requested k, in input
-// order, each equal — order included — to what FindRangesScratch returns
-// for that k. Duplicate k values are allowed; a k exceeding n fails the
-// whole call with an error wrapping ErrKExceedsN, exactly as FindRanges
-// does for the same input. Like FindRanges, it checks the context
-// periodically and aborts on cancellation.
-func FindRangesMulti(ctx context.Context, d *core.Dataset, ks []int) ([][]Range, error) {
+// every smaller one, and bisects into sectors on that k's band; every k's
+// tracker reads the same leaves. It returns one range slice per requested
+// k, in input order, each equal — order included — to what
+// FindRangesScratch returns for that k. Duplicate k values are allowed; a
+// k exceeding n fails the whole call with an error wrapping ErrKExceedsN,
+// exactly as FindRanges does for the same input. Like FindRanges, it
+// checks the context periodically and aborts on cancellation.
+//
+// It runs on sc the way FindRangesScratch does: the returned slices alias
+// the arena and are valid only until its next use, and a nil sc uses a
+// temporary one.
+func FindRangesMulti(ctx context.Context, d *core.Dataset, ks []int, sc *Scratch) ([][]Range, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -222,7 +228,9 @@ func FindRangesMulti(ctx context.Context, d *core.Dataset, ks []int) ([][]Range,
 		}
 		widest = max(widest, k)
 	}
-	sc := new(Scratch)
+	if sc == nil {
+		sc = new(Scratch)
+	}
 	if err := sc.initBand(d, widest); err != nil {
 		return nil, err
 	}
@@ -230,39 +238,43 @@ func FindRangesMulti(ctx context.Context, d *core.Dataset, ks []int) ([][]Range,
 	// at[p] tracks the boundary at position p — rank target p+1 — or is
 	// nil where no requested k sits. The first widest tuples head the band
 	// at their initial positions, so each prefix is its k's initial top-k.
-	at := make([]*boundary, widest)
-	for _, k := range ks {
-		if at[k-1] == nil {
-			at[k-1] = new(boundary)
-			at[k-1].reset(len(ts), sc.order[:k])
+	sc.at = slices.Grow(sc.at[:0], widest)[:widest]
+	clear(sc.at)
+	sc.multi = slices.Grow(sc.multi[:0], len(ks))[:len(ks)]
+	for i, k := range ks {
+		if sc.at[k-1] == nil {
+			sc.at[k-1] = &sc.multi[i]
+			sc.at[k-1].reset(len(ts), sc.order[:k])
 		}
 	}
-	for {
-		e, p, ok := sc.step(ts)
-		if !ok {
-			break
-		}
-		if err := sc.canceled(ctx); err != nil {
-			return nil, err
-		}
-		if p < widest && at[p] != nil {
-			at[p].exchange(e)
+	for sc.nextLeaf(ts) {
+		for {
+			e, p, ok := sc.step(ts)
+			if !ok {
+				break
+			}
+			if err := sc.canceled(ctx); err != nil {
+				return nil, err
+			}
+			if p < widest && sc.at[p] != nil {
+				sc.at[p].exchange(e)
+			}
 		}
 	}
 	// One backing array holds every k's ranges; each slice is capped so an
 	// append to one cannot overwrite the next.
 	total := 0
 	for _, k := range ks {
-		total += at[k-1].seen
+		total += sc.at[k-1].seen
 	}
-	all := make([]Range, 0, total)
-	out := make([][]Range, len(ks))
-	for i, k := range ks {
-		from := len(all)
-		all = at[k-1].appendRanges(all, ts)
-		out[i] = all[from:len(all):len(all)]
+	sc.ranges = slices.Grow(sc.ranges[:0], total)
+	sc.rangesAt = slices.Grow(sc.rangesAt[:0], len(ks))
+	for _, k := range ks {
+		from := len(sc.ranges)
+		sc.ranges = sc.at[k-1].appendRanges(sc.ranges, ts)
+		sc.rangesAt = append(sc.rangesAt, sc.ranges[from:len(sc.ranges):len(sc.ranges)])
 	}
-	return out, nil
+	return sc.rangesAt, nil
 }
 
 // KSets enumerates the exact collection of k-sets of a 2-D dataset by
@@ -374,7 +386,7 @@ func ExactRankRegretMulti(d *core.Dataset, subsets [][]int) ([]int, error) {
 		}
 	}
 	ts := d.Tuples()
-	sc.start(ts)
+	sc.start(ts, math.Inf(1))
 	for {
 		e, p, ok := sc.step(ts)
 		if !ok {

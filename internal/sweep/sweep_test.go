@@ -274,7 +274,7 @@ func TestFindRangesMultiMatchesSingle(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		d := randomDataset2D(rng, 8+rng.Intn(40), false)
 		ks := []int{1 + rng.Intn(4), 2 + rng.Intn(6), 1 + rng.Intn(4)} // with dupes sometimes
-		multi, err := sweep.FindRangesMulti(context.Background(), d, ks)
+		multi, err := sweep.FindRangesMulti(context.Background(), d, ks, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,10 +289,10 @@ func TestFindRangesMultiMatchesSingle(t *testing.T) {
 		}
 	}
 	d := randomDataset2D(rng, 10, false)
-	if _, err := sweep.FindRangesMulti(context.Background(), d, nil); err == nil {
+	if _, err := sweep.FindRangesMulti(context.Background(), d, nil, nil); err == nil {
 		t.Fatal("no k values must error")
 	}
-	if _, err := sweep.FindRangesMulti(context.Background(), d, []int{0}); err == nil {
+	if _, err := sweep.FindRangesMulti(context.Background(), d, []int{0}, nil); err == nil {
 		t.Fatal("k=0 must error")
 	}
 }
@@ -323,7 +323,7 @@ func TestFindRangesRejectsBadK(t *testing.T) {
 	if _, err := sweep.FindRanges(context.Background(), d, d.N()+1); !errors.Is(err, sweep.ErrKExceedsN) {
 		t.Fatalf("k > n: err = %v, want ErrKExceedsN", err)
 	}
-	if _, err := sweep.FindRangesMulti(context.Background(), d, []int{1, d.N() + 1}); !errors.Is(err, sweep.ErrKExceedsN) {
+	if _, err := sweep.FindRangesMulti(context.Background(), d, []int{1, d.N() + 1}, nil); !errors.Is(err, sweep.ErrKExceedsN) {
 		t.Fatalf("multi k > n: err = %v, want ErrKExceedsN", err)
 	}
 }

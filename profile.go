@@ -34,7 +34,7 @@ func Profile2D(d *Dataset, ks []int) ([]ProfilePoint, error) {
 	if len(ks) == 0 {
 		return nil, errors.New("rrr: no k values")
 	}
-	rangesPerK, err := sweep.FindRangesMulti(context.Background(), d, ks)
+	rangesPerK, err := sweep.FindRangesMulti(context.Background(), d, ks, nil)
 	if err != nil {
 		return nil, err
 	}
