@@ -260,11 +260,12 @@ func (b *batchRun) solveGrid(ctx context.Context, ks []int) {
 // the per-k interval covers across the pool.
 func (b *batchRun) gridTwoD(ctx context.Context, ks []int) {
 	s := b.solver
-	// The shared sweep borrows one solve arena; its ranges alias the
-	// arena, so it is returned only after the covers have read them.
+	// The shared sweep is single-goroutine, so it borrows one solve arena
+	// for its state; the ranges it returns are its own, so the arena goes
+	// back before the fan-out.
 	arena := s.arenas.get()
-	defer s.arenas.put(arena)
 	rangesPerK, err := sweep.FindRangesMulti(ctx, b.d, ks, &arena.twod.Sweep)
+	s.arenas.put(arena)
 	b.stats.Sweeps++
 	if err != nil {
 		// The sweep failed for every k at once; each item reports it the

@@ -22,9 +22,9 @@ import (
 // place and the pending set's table is rewiped, not reallocated.
 //
 // A Scratch is owned by exactly one sweep at a time: it is not safe for
-// concurrent use, and the ranges the FindRanges kernels return alias the
-// arena, staying valid only until the Scratch's next use. The zero value
-// is ready to use.
+// concurrent use, and the []Range returned by FindRangesScratch aliases the
+// arena, staying valid only until the Scratch's next use. The zero value is
+// ready to use.
 type Scratch struct {
 	initial []int // every local index in initial order, or its k-skyband
 	order   []int // the order the loop sweeps: initial, or a sector's band
@@ -39,12 +39,6 @@ type Scratch struct {
 
 	bound  boundary // FindRangesScratch's single-k tracker
 	ranges []Range
-
-	// FindRangesMulti's trackers, its position-to-tracker table and its
-	// per-k result slices.
-	multi    []boundary
-	at       []*boundary
-	rangesAt [][]Range
 }
 
 // initialSorter sorts local indexes by the library's initial-order rule

@@ -4,9 +4,10 @@
 // between adjacent tuples (Algorithm 1's event loop).
 //
 // There is one event loop, on Scratch: start schedules the adjacent pairs
-// of an initial order, and step applies the next live exchange and
-// returns it with its position. Every consumer drives that loop and keeps
-// its per-event bookkeeping in its own loop body:
+// of an order — the initial one, or a sector's band at the sector's first
+// angle — and step applies the next live exchange keyed before the
+// sweep's end and returns it with its position. Every consumer drives
+// that loop and keeps its per-event bookkeeping in its own loop body:
 //
 //   - FindRangesScratch (Algorithm 1): for every tuple, the first and last
 //     angle at which it belongs to the top-k; the convex closure of its
@@ -26,9 +27,15 @@
 // ordering exchanges, matching the paper's quadratic bound (Theorem 2).
 // FindRangesScratch and FindRangesMulti first drop, in O(n log k), every
 // tuple that k others beat on both attributes (the k-skyband prefilter),
-// so they sweep only the s surviving tuples: O(n log n + E_s log s) with
-// E_s ≤ s(s−1)/2. Sweep, KSets and ExactRankRegret* need every tuple's
-// true rank and sweep all n.
+// leaving s tuples. They then bisect [0, π/2] into angular sectors while
+// a sector's band holds more than 3k/2 tuples, and sweep each sector only
+// on its own band: the tuples that fewer than k others beat at both of
+// its end angles (sector.go). A split costs O(s log s) for the sort at the
+// split angle and its check, and the exchanges applied fall from the E_s
+// ≤ s(s−1)/2 of the whole band to those among each sector's band inside
+// that sector: on the benchmark's cold 2-D data at k = 106, 40,131 → 12,510
+// (DESIGN.md §3). Sweep, KSets and ExactRankRegret* need every tuple's
+// true rank and sweep all n in one pass.
 package sweep
 
 import (
@@ -208,9 +215,10 @@ func FindRanges(ctx context.Context, d *core.Dataset, k int) (map[int]Range, err
 // exactly as FindRanges does for the same input. Like FindRanges, it
 // checks the context periodically and aborts on cancellation.
 //
-// It runs on sc the way FindRangesScratch does: the returned slices alias
-// the arena and are valid only until its next use, and a nil sc uses a
-// temporary one.
+// The sweep runs on sc, whose state it reuses the way FindRangesScratch
+// does; a nil sc uses a temporary arena. The per-k trackers and the
+// returned slices are allocated per call and owned by the caller, so an
+// arena does not keep memory that grows with the number of k values.
 func FindRangesMulti(ctx context.Context, d *core.Dataset, ks []int, sc *Scratch) ([][]Range, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -238,13 +246,11 @@ func FindRangesMulti(ctx context.Context, d *core.Dataset, ks []int, sc *Scratch
 	// at[p] tracks the boundary at position p — rank target p+1 — or is
 	// nil where no requested k sits. The first widest tuples head the band
 	// at their initial positions, so each prefix is its k's initial top-k.
-	sc.at = slices.Grow(sc.at[:0], widest)[:widest]
-	clear(sc.at)
-	sc.multi = slices.Grow(sc.multi[:0], len(ks))[:len(ks)]
-	for i, k := range ks {
-		if sc.at[k-1] == nil {
-			sc.at[k-1] = &sc.multi[i]
-			sc.at[k-1].reset(len(ts), sc.order[:k])
+	at := make([]*boundary, widest)
+	for _, k := range ks {
+		if at[k-1] == nil {
+			at[k-1] = new(boundary)
+			at[k-1].reset(len(ts), sc.order[:k])
 		}
 	}
 	for sc.nextLeaf(ts) {
@@ -256,8 +262,8 @@ func FindRangesMulti(ctx context.Context, d *core.Dataset, ks []int, sc *Scratch
 			if err := sc.canceled(ctx); err != nil {
 				return nil, err
 			}
-			if p < widest && sc.at[p] != nil {
-				sc.at[p].exchange(e)
+			if p < widest && at[p] != nil {
+				at[p].exchange(e)
 			}
 		}
 	}
@@ -265,16 +271,16 @@ func FindRangesMulti(ctx context.Context, d *core.Dataset, ks []int, sc *Scratch
 	// append to one cannot overwrite the next.
 	total := 0
 	for _, k := range ks {
-		total += sc.at[k-1].seen
+		total += at[k-1].seen
 	}
-	sc.ranges = slices.Grow(sc.ranges[:0], total)
-	sc.rangesAt = slices.Grow(sc.rangesAt[:0], len(ks))
-	for _, k := range ks {
-		from := len(sc.ranges)
-		sc.ranges = sc.at[k-1].appendRanges(sc.ranges, ts)
-		sc.rangesAt = append(sc.rangesAt, sc.ranges[from:len(sc.ranges):len(sc.ranges)])
+	all := make([]Range, 0, total)
+	out := make([][]Range, len(ks))
+	for i, k := range ks {
+		from := len(all)
+		all = at[k-1].appendRanges(all, ts)
+		out[i] = all[from:len(all):len(all)]
 	}
-	return sc.rangesAt, nil
+	return out, nil
 }
 
 // KSets enumerates the exact collection of k-sets of a 2-D dataset by
