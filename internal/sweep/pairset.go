@@ -26,6 +26,21 @@ func (s *pairSet) reset() {
 	s.n = 0
 }
 
+// reserve makes room for up to keys live keys without growing: it
+// replaces a smaller table, dropping its contents, so call it only before
+// reset. A sweep holds at most one key per adjacent pair, so sizing for
+// that once saves a fresh arena the doublings.
+func (s *pairSet) reserve(keys int) {
+	size := 64
+	for size < 2*(keys+1) {
+		size *= 2
+	}
+	if len(s.slots) < size {
+		s.slots = make([]int64, size)
+		s.n = len(s.slots) // not empty: reset must wipe it
+	}
+}
+
 // pairHash finalizes the key into a table index distribution
 // (the 64-bit finalizer from MurmurHash3). Deterministic across runs,
 // unlike the runtime map's seeded hash, which also keeps sweep memory

@@ -49,17 +49,20 @@ type initialSorter struct {
 	idx []int
 }
 
-func (s *initialSorter) Len() int      { return len(s.idx) }
-func (s *initialSorter) Swap(i, j int) { s.idx[i], s.idx[j] = s.idx[j], s.idx[i] }
-func (s *initialSorter) Less(a, b int) bool {
-	ta, tb := s.ts[s.idx[a]], s.ts[s.idx[b]]
-	if ta.Attrs[0] != tb.Attrs[0] {
-		return ta.Attrs[0] > tb.Attrs[0]
+func (s *initialSorter) Len() int           { return len(s.idx) }
+func (s *initialSorter) Swap(i, j int)      { s.idx[i], s.idx[j] = s.idx[j], s.idx[i] }
+func (s *initialSorter) Less(a, b int) bool { return initialLess(s.ts[s.idx[a]], s.ts[s.idx[b]]) }
+
+// initialLess is the initial-order rule: whether a ranks ahead of b for
+// θ → 0⁺. It is a strict total order, since IDs are unique.
+func initialLess(a, b core.Tuple) bool {
+	if a.Attrs[0] != b.Attrs[0] {
+		return a.Attrs[0] > b.Attrs[0]
 	}
-	if ta.Attrs[1] != tb.Attrs[1] {
-		return ta.Attrs[1] > tb.Attrs[1]
+	if a.Attrs[1] != b.Attrs[1] {
+		return a.Attrs[1] > b.Attrs[1]
 	}
-	return ta.ID < tb.ID
+	return a.ID < b.ID
 }
 
 // growInts resizes s to n reusing capacity; contents are unspecified.
@@ -131,14 +134,16 @@ func (sc *Scratch) initBand(d *core.Dataset, k int) error {
 // or above end. It sets the positions, empties the event queue and
 // schedules every adjacent pair. Local indexes stay dataset-wide, so pos
 // and the pending-pair key keep their full size len(ts) whatever the
-// order covers. The event heap is sized up front for one event per
-// adjacent pair, so a cold arena does not grow it one doubling at a time.
+// order covers. The event heap and the pending set are sized up front
+// for one event per adjacent pair, so a cold arena does not grow them one
+// doubling at a time.
 func (sc *Scratch) start(ts []core.Tuple, end float64) {
 	sc.pos = growInts(sc.pos, len(ts))
 	for p, li := range sc.order {
 		sc.pos[li] = p
 	}
 	sc.heap = slices.Grow(sc.heap[:0], len(sc.order))
+	sc.pending.reserve(len(sc.order))
 	sc.pending.reset()
 	sc.end = end
 	for p := 0; p < len(sc.order)-1; p++ {

@@ -32,11 +32,18 @@ const (
 	// (BN-like 2-D data holds 46 copies of one point). The cap also bounds
 	// the band buffers the arena keeps: two per depth.
 	maxSectorDepth = 12
+	// minSplitBand is the smallest band the rule splits. A sweep of fewer
+	// tuples applies a few dozen exchanges at most, about what a split's
+	// sort, check and two band passes cost; without the floor, a k = 1
+	// band of two tuples that cross inside it is bisected down to the
+	// depth cap.
+	minSplitBand = 8
 )
 
 // splittable is the bisection rule: a sector is split while its band
-// holds more than 3k/2 tuples. It reads only the band's size and k.
-func splittable(band, k int) bool { return 2*band > 3*k }
+// holds more than 3k/2 tuples, and at least minSplitBand. It reads only
+// the band's size and k.
+func splittable(band, k int) bool { return 2*band > 3*k && band >= minSplitBand }
 
 // sector is an angular interval [lo, hi) waiting to be split or swept.
 // band holds its tuples' local indexes in the loop's order at lo.
@@ -46,39 +53,40 @@ type sector struct {
 	depth  int
 }
 
-// sectorKey is a band tuple's sort key at a split angle: its score there,
-// and its position in the parent's order, which breaks ties the way a
-// stable sort would.
-type sectorKey struct {
-	score float64
-	at    int
-}
-
-func bySectorKey(a, b sectorKey) int {
-	if a.score != b.score {
-		if a.score > b.score {
-			return -1
-		}
-		return 1
-	}
-	return a.at - b.at
-}
-
 // bisection is the sector recursion's state on the arena: the rank
-// target, the dominance margin, every band tuple's initial position, the
-// split sort's keys, two band buffers per depth (left and right child)
-// and the stack of sectors still to visit, right siblings pushed while
-// the walk goes left, so leaves come off it in angle order.
+// target, the dominance margin, one band buffer per depth, carved from
+// one slab, and the stack of sectors still to visit, right siblings
+// pushed while the walk goes left, so leaves come off it in angle order.
+// A left child's band is compacted in its parent's buffer; a right
+// child's goes to the buffer of its parent's depth, which is free once
+// every sector pushed after it has been swept. So at most one sector per
+// depth waits on the stack.
 type bisection struct {
 	k     int
 	eps   float64
-	rank  []int // position in the initial order, by local index
-	keys  []sectorKey
-	bufs  [2 * maxSectorDepth][]int
-	stack []sector
+	bufs  [maxSectorDepth][]int
+	slab  []int
+	stack [maxSectorDepth + 1]sector
+	top   int
 	// leaves and refused count, for the last sweep, the sectors swept and
 	// the split angles the check refused.
 	leaves, refused int
+}
+
+// buf returns depth d's band buffer with room for n local indexes. The
+// buffers are carved from one slab, so a cold arena allocates once or
+// twice for all depths rather than once per depth.
+func (b *bisection) buf(d, n int) []int {
+	if cap(b.bufs[d]) >= n {
+		return b.bufs[d][:n]
+	}
+	if len(b.slab)+n > cap(b.slab) {
+		b.slab = make([]int, 0, max(2*cap(b.slab), 4*n))
+	}
+	at := len(b.slab)
+	b.slab = b.slab[:at+n]
+	b.bufs[d] = b.slab[at : at+n : at+n]
+	return b.bufs[d]
 }
 
 // direction is the ranking function (cos θ, sin θ) of a sector end. It is
@@ -134,8 +142,7 @@ func sectorBand(ts []core.Tuple, order []int, k int, lo, hi direction, eps float
 
 // bisect puts the root sector [0, π/2] with the band in sc.order — the
 // k-skyband, in initial order — on the stack of sectors to sweep at rank
-// target k. When the band may split, it also records every band tuple's
-// initial position and the dominance margin.
+// target k. When the band may split, it also sets the dominance margin.
 //
 // eps covers rounding in the scores, as topk.exitSlack does in the d-D
 // scan: each computed score is within 4u·(|x1| + |x2|) of the exact
@@ -147,14 +154,12 @@ func sectorBand(ts []core.Tuple, order []int, k int, lo, hi direction, eps float
 func (sc *Scratch) bisect(ts []core.Tuple, k int) {
 	b := &sc.sectors
 	b.k, b.leaves, b.refused = k, 0, 0
-	b.stack = append(b.stack[:0], sector{lo: 0, hi: geom.HalfPi, band: sc.order})
+	b.stack[0], b.top = sector{lo: 0, hi: geom.HalfPi, band: sc.order}, 1
 	if !splittable(len(sc.order), k) {
 		return
 	}
-	b.rank = growInts(b.rank, len(ts))
 	m := 0.0
-	for p, li := range sc.order {
-		b.rank[li] = p
+	for _, li := range sc.order {
 		m = max(m, math.Abs(ts[li].Attrs[0])+math.Abs(ts[li].Attrs[1]))
 	}
 	b.eps = 0x1p-49 * m
@@ -166,17 +171,18 @@ func (sc *Scratch) bisect(ts []core.Tuple, k int) {
 // π/2. It reports false once every sector has been swept.
 func (sc *Scratch) nextLeaf(ts []core.Tuple) bool {
 	b := &sc.sectors
-	if len(b.stack) == 0 {
+	if b.top == 0 {
 		return false
 	}
-	s := b.stack[len(b.stack)-1]
-	b.stack = b.stack[:len(b.stack)-1]
+	b.top--
+	s := b.stack[b.top]
 	for s.depth < maxSectorDepth && splittable(len(s.band), b.k) {
 		left, right, ok := sc.split(ts, s)
 		if !ok {
 			break
 		}
-		b.stack = append(b.stack, right)
+		b.stack[b.top] = right
+		b.top++
 		s = left
 	}
 	b.leaves++
@@ -191,54 +197,65 @@ func (sc *Scratch) nextLeaf(ts []core.Tuple) bool {
 
 // split bisects s at the first of its 1/2, 3/8 and 5/8 points that passes
 // the check, and returns the two children with their bands: the left one
-// in s's order at s.lo, the right one in the sorted order at the split
-// angle. It declines, sweeping s whole, when every point is refused or
-// when neither child's band is smaller than s's.
+// compacted in s's buffer, in s's order at s.lo, and the right one in the
+// sorted order at the split angle. It declines, sweeping s whole, when
+// every point is refused or when neither child's band is smaller than
+// s's; a left band as large as s's is s's band itself, so declining after
+// the passes leaves s intact.
 func (sc *Scratch) split(ts []core.Tuple, s sector) (left, right sector, ok bool) {
 	b := &sc.sectors
-	lb, rb := &b.bufs[2*s.depth], &b.bufs[2*s.depth+1]
 	for _, f := range [...]float64{0.5, 0.375, 0.625} {
 		m := s.lo + f*(s.hi-s.lo)
 		dm := directionAt(m)
-		if !sc.sortCertified(ts, s.band, m, dm, rb) {
+		sorted := b.buf(s.depth, len(s.band))
+		if !sc.sortCertified(ts, s.band, m, dm, sorted) {
 			b.refused++
 			continue
 		}
-		*rb, sc.band = sectorBand(ts, *rb, b.k, dm, directionAt(s.hi), b.eps, sc.band)
-		*lb = append((*lb)[:0], s.band...)
-		*lb, sc.band = sectorBand(ts, *lb, b.k, directionAt(s.lo), dm, b.eps, sc.band)
-		if len(*lb) == len(s.band) && len(*rb) == len(s.band) {
+		var lb, rb []int
+		rb, sc.band = sectorBand(ts, sorted, b.k, dm, directionAt(s.hi), b.eps, sc.band)
+		lb, sc.band = sectorBand(ts, s.band, b.k, directionAt(s.lo), dm, b.eps, sc.band)
+		if len(lb) == len(s.band) && len(rb) == len(s.band) {
 			return sector{}, sector{}, false
 		}
-		return sector{lo: s.lo, hi: m, band: *lb, depth: s.depth + 1},
-			sector{lo: m, hi: s.hi, band: *rb, depth: s.depth + 1}, true
+		return sector{lo: s.lo, hi: m, band: lb, depth: s.depth + 1},
+			sector{lo: m, hi: s.hi, band: rb, depth: s.depth + 1}, true
 	}
 	return sector{}, sector{}, false
 }
 
-// sortCertified writes band, sorted by score at m (ties in band order),
-// into *out, and reports whether that is the loop's order after every
-// event key below m. It checks each adjacent pair with the loop's own
+// sortCertified writes band, sorted by score at m (ties in band order,
+// as a stable sort leaves them), into out, and reports whether that is
+// the loop's order after every event key below m. It checks each adjacent pair with the loop's own
 // rule (crossing): a pair still in initial order must never be exchanged
 // or be exchanged at a key above m + δ, and a swapped pair must have been
 // exchanged at a key below m − δ. By the adjacent-chain argument of
 // DESIGN.md §3 no pair of the band then has a key within δ of m, and the
 // loop's order once its next key reaches m is exactly the sorted one.
-func (sc *Scratch) sortCertified(ts []core.Tuple, band []int, m float64, dm direction, out *[]int) bool {
-	b := &sc.sectors
-	b.keys = slices.Grow(b.keys[:0], len(band))
+func (sc *Scratch) sortCertified(ts []core.Tuple, band []int, m float64, dm direction, out []int) bool {
+	// The scores, by band position, live in the band passes' heap storage
+	// (capacity n), which is free until the passes run. out first holds
+	// the band positions, sorted, then the tuples at them.
+	scores := sc.band[:len(band)]
 	for p, li := range band {
-		b.keys = append(b.keys, sectorKey{score: dm.score(ts[li]), at: p})
+		scores[p] = dm.score(ts[li])
+		out[p] = p
 	}
-	slices.SortFunc(b.keys, bySectorKey)
-	*out = growInts(*out, len(band))
-	for i, key := range b.keys {
-		(*out)[i] = band[key.at]
+	slices.SortFunc(out, func(a, b int) int {
+		if scores[a] != scores[b] {
+			if scores[a] > scores[b] {
+				return -1
+			}
+			return 1
+		}
+		return a - b
+	})
+	for i, p := range out {
+		out[i] = band[p]
 	}
-	sorted := *out
-	for i := 0; i+1 < len(sorted); i++ {
-		x, y := sorted[i], sorted[i+1]
-		if b.rank[x] < b.rank[y] {
+	for i := 0; i+1 < len(out); i++ {
+		x, y := out[i], out[i+1]
+		if initialLess(ts[x], ts[y]) {
 			if theta, ok := crossing(ts[x], ts[y]); ok && theta <= m+splitSlack {
 				return false
 			}

@@ -331,8 +331,7 @@ func TestSectorSplitRefusedAtConcurrentCrossing(t *testing.T) {
 	if err := sc.initBand(d, 2); err != nil {
 		t.Fatal(err)
 	}
-	var sorted []int
-	if m := geom.HalfPi / 2; sc.sortCertified(d.Tuples(), sc.order, m, directionAt(m), &sorted) {
+	if m := geom.HalfPi / 2; sc.sortCertified(d.Tuples(), sc.order, m, directionAt(m), make([]int, n)) {
 		t.Fatal("the split at π/4, where every pair crosses, passed the check")
 	}
 	for _, k := range []int{1, 2, 3} {
