@@ -26,10 +26,10 @@ func (s *pairSet) reset() {
 	s.n = 0
 }
 
-// reserve makes room for up to keys live keys without growing: it
-// replaces a smaller table, dropping its contents, so call it only before
-// reset. A sweep holds at most one key per adjacent pair, so sizing for
-// that once saves a fresh arena the doublings.
+// reserve makes room for up to keys live keys without growing. It
+// replaces a smaller table, dropping its contents, so it is called only
+// right before reset. A sweep holds at most one key per adjacent pair, so
+// sizing for that once saves a fresh arena the doublings.
 func (s *pairSet) reserve(keys int) {
 	size := 64
 	for size < 2*(keys+1) {
@@ -37,7 +37,6 @@ func (s *pairSet) reserve(keys int) {
 	}
 	if len(s.slots) < size {
 		s.slots = make([]int64, size)
-		s.n = len(s.slots) // not empty: reset must wipe it
 	}
 }
 
