@@ -1,7 +1,6 @@
 package harness_test
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -103,10 +102,7 @@ func TestSmokeRunExtensions(t *testing.T) {
 	for _, f := range harness.Extensions() {
 		f := f
 		t.Run(f.ID, func(t *testing.T) {
-			res, err := f.Run(context.Background(), harness.ScaleSmoke)
-			if err != nil {
-				t.Fatalf("%s: %v", f.ID, err)
-			}
+			res := smokeRun(t, f)
 			if len(res.Rows) == 0 {
 				t.Fatalf("%s produced no rows", f.ID)
 			}
@@ -171,10 +167,7 @@ func TestSmokeRunAllFigures(t *testing.T) {
 	for _, f := range harness.Figures() {
 		f := f
 		t.Run(f.ID, func(t *testing.T) {
-			res, err := f.Run(context.Background(), harness.ScaleSmoke)
-			if err != nil {
-				t.Fatalf("%s: %v", f.ID, err)
-			}
+			res := smokeRun(t, f)
 			if len(res.Rows) == 0 {
 				t.Fatalf("%s produced no rows", f.ID)
 			}
@@ -209,10 +202,7 @@ func TestSmokeRunAllFigures(t *testing.T) {
 // theoretical upper bound.
 func TestGuaranteesAtSmokeScale(t *testing.T) {
 	f, _ := harness.ByID("fig10")
-	res, err := f.Run(context.Background(), harness.ScaleSmoke)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := smokeRun(t, f)
 	for _, row := range res.Rows {
 		if row.Alg == "MDRRR" && row.RankRegret > row.K {
 			t.Errorf("MDRRR with exact 2-D k-sets exceeded k: %+v", row)
@@ -225,10 +215,7 @@ func TestGuaranteesAtSmokeScale(t *testing.T) {
 		}
 	}
 	f, _ = harness.ByID("fig13")
-	res, err = f.Run(context.Background(), harness.ScaleSmoke)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res = smokeRun(t, f)
 	for _, row := range res.Rows {
 		if bound := row.Extra["upper_bound"]; float64(row.Size) > bound {
 			t.Errorf("k-set count %d above theoretical bound %g", row.Size, bound)
