@@ -26,14 +26,14 @@ race:
 # Fuzz smoke: a short budgeted run of each native fuzz target, catching
 # decoder panics and non-canonical encodings before they reach a corpus,
 # any input on which the skyband-pruned, sector-bisected 2-D sweep
-# disagrees with the unfiltered one (for one k, and for several in one
-# FindRangesMulti pass), any on which the 2-D entry points (Solve, SolveInto,
-# SolveBatch, algo.TwoDRRR, Profile2D) disagree, any on which the
-# early-exit top-k scan disagrees with the full sort, any on which the
-# dominator-count index disagrees with the pairwise count, and any on
-# which Sample or SampleMulti departs from the K-SETr replay. One -fuzz
-# pattern per invocation: go test rejects multiple fuzz targets in a
-# single run.
+# disagrees with the unfiltered one in its ranges, k-sets or k-border (for
+# one k, and for several in one FindRangesMulti pass), any on which the
+# 2-D entry points (Solve, SolveInto, SolveBatch, algo.TwoDRRR, Profile2D)
+# disagree, any on which the early-exit top-k scan disagrees with the
+# full sort, any on which the dominator-count index disagrees with the
+# pairwise count, and any on which Sample or SampleMulti departs from the
+# K-SETr replay. One -fuzz pattern per invocation: go test rejects
+# multiple fuzz targets in a single run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s ./internal/trace/

@@ -1,33 +1,22 @@
 package rrr
 
 import (
-	"rrr/internal/arrangement"
 	"rrr/internal/exact"
+	"rrr/internal/sweep"
 )
 
 // BorderFacet is one facet of the 2-D top-k border (the paper's Figure 3):
 // over the sweep-angle interval [From, To] (radians from the x1-axis), the
 // k-th ranked tuple is ID.
-type BorderFacet struct {
-	ID       int
-	From, To float64
-}
+type BorderFacet = sweep.Facet
 
 // KBorder2D computes the top-k border of a 2-D dataset: the chain of dual
 // facets whose crossing defines every change of the top-k. It returns the
-// facets in sweep order. This is the geometric object underlying
-// Algorithm 1 and the k-set enumeration.
+// facets in sweep order; they tile [0, π/2], and k above n is clamped to
+// n. This is the geometric object underlying Algorithm 1 and the k-set
+// enumeration.
 func KBorder2D(d *Dataset, k int) ([]BorderFacet, error) {
-	arr, err := arrangement.Build(d, k)
-	if err != nil {
-		return nil, err
-	}
-	segs := arr.Border()
-	out := make([]BorderFacet, len(segs))
-	for i, s := range segs {
-		out[i] = BorderFacet{ID: s.ID, From: s.From, To: s.To}
-	}
-	return out, nil
+	return sweep.KBorder(d, k)
 }
 
 // OptimalRRR2D computes the true optimal rank-regret representative of a

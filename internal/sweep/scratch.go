@@ -29,6 +29,7 @@ type Scratch struct {
 	initial []int // every local index in initial order, or its k-skyband
 	order   []int // the order the loop sweeps: initial, or a sector's band
 	pos     []int // position in order, by local index
+	slot    []int // band slot, by local index: see numberBand
 	heap    eventHeap
 	pending pairSet
 	end     float64 // step applies only events keyed below end
@@ -229,33 +230,52 @@ func (sc *Scratch) ctxErr(ctx context.Context) error {
 	return fmt.Errorf("sweep: canceled after %d events: %w", sc.events, ctx.Err())
 }
 
+// numberBand gives each tuple of the k-skyband, in sc.order after
+// initBand, its position there as its slot in sc.slot, and every other
+// tuple -1; it returns the band's size. The boundary trackers are indexed
+// by slot: only band tuples ever enter a top-k, so a tracker is sized by
+// the band rather than by n.
+func (sc *Scratch) numberBand(n int) int {
+	sc.slot = growInts(sc.slot, n)
+	for li := range sc.slot {
+		sc.slot[li] = -1
+	}
+	for s, li := range sc.order {
+		sc.slot[li] = s
+	}
+	return len(sc.order)
+}
+
 const (
 	stateSeen  uint8 = 1 << iota // tuple has entered the top-k at least once
 	stateInTop                   // tuple is in the top-k right now
 )
 
 // boundary is Algorithm 1's bookkeeping at one rank target k, indexed by
-// dataset-local index: whether a tuple has entered the top-k, whether it
-// is in it now, the angle it first entered (lo) and the angle it last left
-// (hi). It sees only the exchanges at position k−1; FindRangesScratch
+// band slot (numberBand): whether a tuple has entered the top-k, whether
+// it is in it now, the angle it first entered (lo) and the angle it last
+// left (hi). It sees only the exchanges at position k−1; FindRangesScratch
 // keeps one on its arena and FindRangesMulti one per distinct k.
 type boundary struct {
+	slot   []int // the arena's slot array, by local index
 	lo, hi []float64
 	flags  []uint8
 	seen   int // tuples that have entered the top-k
 }
 
-// reset sizes the state for n tuples and puts top — the top-k at θ = 0 —
-// in range from angle 0. Only flags are cleared: lo is written at a
-// tuple's first entry and hi at each exit, before either is read.
-func (b *boundary) reset(n int, top []int) {
-	b.lo = growFloats(b.lo, n)
-	b.hi = growFloats(b.hi, n)
-	b.flags = growBytes(b.flags, n)
+// reset sizes the state for slots band tuples numbered by slot and puts
+// top — the top-k at θ = 0 — in range from angle 0. Only flags are
+// cleared: lo is written at a tuple's first entry and hi at each exit,
+// before either is read.
+func (b *boundary) reset(slot []int, slots int, top []int) {
+	b.slot = slot
+	b.lo = growFloats(b.lo, slots)
+	b.hi = growFloats(b.hi, slots)
+	b.flags = growBytes(b.flags, slots)
 	clear(b.flags)
 	for _, li := range top {
-		b.lo[li] = 0
-		b.flags[li] = stateSeen | stateInTop
+		b.lo[slot[li]] = 0
+		b.flags[slot[li]] = stateSeen | stateInTop
 	}
 	b.seen = len(top)
 }
@@ -263,30 +283,31 @@ func (b *boundary) reset(n int, top []int) {
 // exchange records an exchange at the boundary: e.above leaves the top-k
 // at e.theta and e.below enters it.
 func (b *boundary) exchange(e event) {
-	b.hi[e.above] = e.theta
-	b.flags[e.above] &^= stateInTop
-	if b.flags[e.below]&stateSeen == 0 {
-		b.lo[e.below] = e.theta
-		b.flags[e.below] |= stateSeen
+	above, below := b.slot[e.above], b.slot[e.below]
+	b.hi[above] = e.theta
+	b.flags[above] &^= stateInTop
+	if b.flags[below]&stateSeen == 0 {
+		b.lo[below] = e.theta
+		b.flags[below] |= stateSeen
 		b.seen++
 	}
-	b.flags[e.below] |= stateInTop
+	b.flags[below] |= stateInTop
 }
 
 // appendRanges appends one Range per tuple that was ever in the top-k, in
-// local-index order; a tuple still in the top-k at the end of the sweep
-// keeps its range open to π/2.
+// local-index order, walking the slot array; a tuple still in the top-k at
+// the end of the sweep keeps its range open to π/2.
 func (b *boundary) appendRanges(out []Range, ts []core.Tuple) []Range {
 	out = slices.Grow(out, b.seen)
-	for li, f := range b.flags {
-		if f&stateSeen == 0 {
+	for li, s := range b.slot {
+		if s < 0 || b.flags[s]&stateSeen == 0 {
 			continue
 		}
-		hi := b.hi[li]
-		if f&stateInTop != 0 {
+		hi := b.hi[s]
+		if b.flags[s]&stateInTop != 0 {
 			hi = geom.HalfPi
 		}
-		out = append(out, Range{ID: ts[li].ID, Lo: b.lo[li], Hi: hi})
+		out = append(out, Range{ID: ts[li].ID, Lo: b.lo[s], Hi: hi})
 	}
 	return out
 }
@@ -317,7 +338,7 @@ func FindRangesScratch(ctx context.Context, d *core.Dataset, k int, sc *Scratch)
 	ts := d.Tuples()
 	// The first k tuples have fewer than k dominators, so they head the
 	// band at their initial positions.
-	sc.bound.reset(len(ts), sc.order[:k])
+	sc.bound.reset(sc.slot, sc.numberBand(len(ts)), sc.order[:k])
 	for sc.nextLeaf(ts) {
 		for {
 			e, p, ok := sc.step(ts)

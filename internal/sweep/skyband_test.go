@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -13,40 +14,83 @@ import (
 	"rrr/internal/geom"
 )
 
-// referenceRanges recomputes Algorithm 1's ranges for every k in ks from
-// the exported, unfiltered Sweep event stream: the initial top-k is in
-// range from θ = 0, and each exchange at position k−1 moves one tuple out
-// of the top-k and one in. It is the oracle for the skyband-pruned
-// kernels, which must agree with it bit for bit.
-func referenceRanges(t testing.TB, d *core.Dataset, ks []int) []map[int]Range {
+// kLevel is what the unfiltered Sweep replay yields at one rank target
+// k: Algorithm 1's ranges, the k-set collection in first-seen order, and
+// the top-k border.
+type kLevel struct {
+	ranges map[int]Range
+	sets   [][]int
+	border []Facet
+}
+
+// referenceKLevel replays the exported, unfiltered Sweep event stream
+// for every k in ks, keeping the whole order:
+//
+//   - ranges: the initial top-k is in range from θ = 0, and each exchange
+//     at position k−1 moves one tuple out of the top-k and one in;
+//   - sets: the initial top-k, then the top-k after each exchange at
+//     position k−1, each kept the first time it is seen;
+//   - border: after each exchange at position k−2 or k−1 the tuple at
+//     position k−1 is the border's, from the largest such key seen so far.
+//     The last tuple at one angle wins, neighbouring runs of one tuple
+//     merge, and a change at π/2 itself is dropped.
+//
+// It is the oracle for the band-loop kernels, which must agree with it bit
+// for bit.
+func referenceKLevel(t testing.TB, d *core.Dataset, ks []int) []kLevel {
 	t.Helper()
 	order, err := InitialOrder(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]map[int]Range, len(ks))
+	type change struct {
+		at float64
+		id int
+	}
+	out := make([]kLevel, len(ks))
 	inTop := make([]map[int]bool, len(ks))
-	for i, k := range ks {
-		out[i] = make(map[int]Range)
-		inTop[i] = make(map[int]bool)
-		for _, id := range order[:k] {
-			out[i][id] = Range{ID: id}
-			inTop[i][id] = true
+	seen := make([]map[string]bool, len(ks))
+	changes := make([][]change, len(ks))
+	addSet := func(i, k int) {
+		set := slices.Sorted(slices.Values(order[:k]))
+		if key := fmt.Sprint(set); !seen[i][key] {
+			seen[i][key] = true
+			out[i].sets = append(out[i].sets, set)
 		}
 	}
+	for i, k := range ks {
+		out[i].ranges = make(map[int]Range)
+		inTop[i] = make(map[int]bool)
+		for _, id := range order[:k] {
+			out[i].ranges[id] = Range{ID: id}
+			inTop[i][id] = true
+		}
+		seen[i] = make(map[string]bool)
+		addSet(i, k)
+		changes[i] = []change{{0, order[k-1]}}
+	}
 	_, err = Sweep(d, func(e Event) bool {
+		order[e.Pos], order[e.Pos+1] = e.Below, e.Above
 		for i, k := range ks {
-			if e.Pos != k-1 {
-				continue
+			if e.Pos == k-1 {
+				r := out[i].ranges[e.Above]
+				r.Hi = e.Theta
+				out[i].ranges[e.Above] = r
+				inTop[i][e.Above] = false
+				if _, seen := out[i].ranges[e.Below]; !seen {
+					out[i].ranges[e.Below] = Range{ID: e.Below, Lo: e.Theta}
+				}
+				inTop[i][e.Below] = true
+				addSet(i, k)
 			}
-			r := out[i][e.Above]
-			r.Hi = e.Theta
-			out[i][e.Above] = r
-			inTop[i][e.Above] = false
-			if _, seen := out[i][e.Below]; !seen {
-				out[i][e.Below] = Range{ID: e.Below, Lo: e.Theta}
+			if e.Pos == k-1 || e.Pos == k-2 {
+				last := &changes[i][len(changes[i])-1]
+				if at := max(last.at, e.Theta); at == last.at {
+					last.id = order[k-1]
+				} else {
+					changes[i] = append(changes[i], change{at, order[k-1]})
+				}
 			}
-			inTop[i][e.Below] = true
 		}
 		return true
 	})
@@ -56,11 +100,26 @@ func referenceRanges(t testing.TB, d *core.Dataset, ks []int) []map[int]Range {
 	for i := range ks {
 		for id, in := range inTop[i] {
 			if in {
-				r := out[i][id]
+				r := out[i].ranges[id]
 				r.Hi = geom.HalfPi
-				out[i][id] = r
+				out[i].ranges[id] = r
 			}
 		}
+		var border []Facet
+		for j, c := range changes[i] {
+			if j > 0 && c.at == geom.HalfPi {
+				break
+			}
+			if n := len(border); n > 0 && border[n-1].ID == c.id {
+				continue
+			}
+			if n := len(border); n > 0 {
+				border[n-1].To = c.at
+			}
+			border = append(border, Facet{ID: c.id, From: c.at})
+		}
+		border[len(border)-1].To = geom.HalfPi
+		out[i].border = border
 	}
 	return out
 }
@@ -80,16 +139,17 @@ func strictDominators(d *core.Dataset) []int {
 	return dom
 }
 
-// checkSkyband holds the pruned kernels to the unfiltered oracle on one
-// dataset and every k in ks: FindRangesScratch (on the shared, warm sc)
-// and FindRanges must equal referenceRanges, one FindRangesMulti call
-// must return FindRangesScratch's slices exactly, order included, and the
-// skyband pass must keep exactly the tuples with fewer than k strict
+// checkSkyband holds the band-loop kernels to the unfiltered oracle on
+// one dataset and every k in ks: FindRangesScratch (on the shared, warm
+// sc) and FindRanges must equal referenceKLevel's ranges, one
+// FindRangesMulti call must return FindRangesScratch's slices exactly,
+// order included, KSets and KBorder must equal its k-sets and border, and
+// the skyband pass must keep exactly the tuples with fewer than k strict
 // dominators, in initial order. It reports whether any k pruned a tuple.
 func checkSkyband(t testing.TB, d *core.Dataset, ks []int, sc *Scratch) (pruned bool) {
 	t.Helper()
 	ctx := context.Background()
-	want := referenceRanges(t, d, ks)
+	want := referenceKLevel(t, d, ks)
 	multi, err := FindRangesMulti(ctx, d, ks, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -109,8 +169,8 @@ func checkSkyband(t testing.TB, d *core.Dataset, ks []int, sc *Scratch) (pruned 
 		for _, r := range rs {
 			got[r.ID] = r
 		}
-		if !reflect.DeepEqual(got, want[i]) {
-			t.Fatalf("n=%d k=%d: FindRangesScratch\n got  %v\n want %v\n points %v", d.N(), k, got, want[i], d.Tuples())
+		if !reflect.DeepEqual(got, want[i].ranges) {
+			t.Fatalf("n=%d k=%d: FindRangesScratch\n got  %v\n want %v\n points %v", d.N(), k, got, want[i].ranges, d.Tuples())
 		}
 		if !slices.Equal(multi[i], rs) {
 			t.Fatalf("n=%d ks=%v k=%d: FindRangesMulti\n got  %v\n want %v\n points %v", d.N(), ks, k, multi[i], rs, d.Tuples())
@@ -119,8 +179,22 @@ func checkSkyband(t testing.TB, d *core.Dataset, ks []int, sc *Scratch) (pruned 
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(single, want[i]) {
-			t.Fatalf("n=%d k=%d: FindRanges\n got  %v\n want %v", d.N(), k, single, want[i])
+		if !reflect.DeepEqual(single, want[i].ranges) {
+			t.Fatalf("n=%d k=%d: FindRanges\n got  %v\n want %v", d.N(), k, single, want[i].ranges)
+		}
+		sets, err := KSets(d, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sets, want[i].sets) {
+			t.Fatalf("n=%d k=%d: KSets\n got  %v\n want %v\n points %v", d.N(), k, sets, want[i].sets, d.Tuples())
+		}
+		border, err := KBorder(d, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(border, want[i].border) {
+			t.Fatalf("n=%d k=%d: KBorder\n got  %v\n want %v\n points %v", d.N(), k, border, want[i].border, d.Tuples())
 		}
 
 		order := append([]int(nil), full...)
@@ -198,7 +272,8 @@ func degenerateDataset(rng *rand.Rand, family, n int) *core.Dataset {
 
 // TestSkybandMatchesUnfilteredSweepDegenerate: on tie-heavy inputs with
 // n ≤ 15 and every k in [1, n], pruning to the k-skyband changes no
-// range, and the pass drops exactly the tuples with k strict dominators.
+// range, k-set or border facet, and the pass drops exactly the tuples
+// with k strict dominators.
 func TestSkybandMatchesUnfilteredSweepDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	trials := 3000
@@ -259,9 +334,9 @@ func TestSkybandMatchesUnfilteredSweepGenerators(t *testing.T) {
 	}
 }
 
-// FuzzFindRanges runs the skyband equivalence oracle on fuzzer-chosen
-// inputs: up to 12 points on a 6×6 grid (two bytes per point) and a k in
-// [1, n].
+// FuzzFindRanges runs the skyband equivalence oracle (ranges, k-sets and
+// the k-border) on fuzzer-chosen inputs: up to 12 points on a 6×6 grid
+// (two bytes per point) and a k in [1, n].
 func FuzzFindRanges(f *testing.F) {
 	f.Add([]byte{0, 5, 1, 4, 2, 3, 3, 2, 4, 1, 5, 0}, uint8(2))
 	f.Add([]byte{3, 3, 3, 3, 3, 3, 1, 1, 5, 5}, uint8(1))
@@ -384,8 +459,9 @@ func TestFindRangesScratchAllocFree(t *testing.T) {
 }
 
 // FuzzFindRangesMulti runs the oracle on one FindRangesMulti call over
-// two or three k values: up to 12 points on a 6×6 grid (two bytes per
-// point), and each k in [1, n]; a zero third byte leaves it out.
+// two or three k values, and on KSets and KBorder at each: up to 12
+// points on a 6×6 grid (two bytes per point), and each k in [1, n]; a
+// zero third byte leaves it out.
 func FuzzFindRangesMulti(f *testing.F) {
 	f.Add([]byte{0, 5, 1, 4, 2, 3, 3, 2, 4, 1, 5, 0}, uint8(1), uint8(3), uint8(0))
 	f.Add([]byte{3, 3, 3, 3, 3, 3, 1, 1, 5, 5}, uint8(0), uint8(2), uint8(4))

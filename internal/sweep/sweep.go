@@ -15,9 +15,12 @@
 //     the range. FindRanges is its map-shaped wrapper, and FindRangesMulti
 //     watches several k boundaries in one pass with the same per-k
 //     tracker.
+//   - KSets (k-border following): the exact collection of k-sets of a 2-D
+//     dataset, the top-k after each exchange at position k−1.
+//   - KBorder: the top-k border itself (the paper's Figure 3), the k-th
+//     tuple after each exchange at position k−2 or k−1.
 //   - Sweep: the raw exchange stream, the oracle the tests replay against
-//     brute-force rankings. KSets (k-border following: the exact
-//     collection of k-sets of a 2-D dataset) runs on it.
+//     brute-force rankings and against every k-level consumer.
 //   - ExactRankRegretMulti (ground truth): the exact rank-regret of
 //     subsets over all linear functions, used by the 2-D experiments where
 //     the paper also measures exactly. ExactRankRegret is its one-subset
@@ -25,17 +28,19 @@
 //
 // The sweep performs O(E log n) work where E ≤ n(n−1)/2 is the number of
 // ordering exchanges, matching the paper's quadratic bound (Theorem 2).
-// FindRangesScratch and FindRangesMulti first drop, in O(n log k), every
-// tuple that k others beat on both attributes (the k-skyband prefilter),
-// leaving s tuples. They then bisect [0, π/2] into angular sectors while
-// a sector's band holds more than 3k/2 tuples, and sweep each sector only
-// on its own band: the tuples that fewer than k others beat at both of
-// its end angles (sector.go). A split costs O(s log s) for the sort at the
-// split angle and its check, and the exchanges applied fall from the E_s
-// ≤ s(s−1)/2 of the whole band to those among each sector's band inside
-// that sector: on the benchmark's cold 2-D data at k = 106, 40,131 → 12,510
-// (DESIGN.md §3). Sweep, KSets and ExactRankRegret* need every tuple's
-// true rank and sweep all n in one pass.
+// The k-level consumers (FindRanges*, KSets and KBorder) read only the
+// exchanges at positions below k, where the top-k border lives. They first
+// drop, in O(n log k), every tuple that k others beat on both attributes
+// (the k-skyband prefilter), leaving s tuples. They then bisect [0, π/2]
+// into angular sectors while a sector's band holds more than 3k/2 tuples,
+// and sweep each sector only on its own band: the tuples that fewer than k
+// others beat at both of its end angles (sector.go). A split costs
+// O(s log s) for the sort at the split angle and its check, and the
+// exchanges applied fall from the E_s ≤ s(s−1)/2 of the whole band to
+// those among each sector's band inside that sector: on the benchmark's
+// cold 2-D data at k = 106, 40,131 → 12,510 (DESIGN.md §3). Sweep and
+// ExactRankRegret* need every tuple's true rank and sweep all n in one
+// pass.
 package sweep
 
 import (
@@ -44,9 +49,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"rrr/internal/core"
+	"rrr/internal/geom"
 )
 
 // cancelCheckInterval is how many sweep events pass between context
@@ -243,6 +248,7 @@ func FindRangesMulti(ctx context.Context, d *core.Dataset, ks []int, sc *Scratch
 		return nil, err
 	}
 	ts := d.Tuples()
+	slots := sc.numberBand(len(ts))
 	// at[p] tracks the boundary at position p — rank target p+1 — or is
 	// nil where no requested k sits. The first widest tuples head the band
 	// at their initial positions, so each prefix is its k's initial top-k.
@@ -250,7 +256,7 @@ func FindRangesMulti(ctx context.Context, d *core.Dataset, ks []int, sc *Scratch
 	for _, k := range ks {
 		if at[k-1] == nil {
 			at[k-1] = new(boundary)
-			at[k-1].reset(len(ts), sc.order[:k])
+			at[k-1].reset(sc.slot, slots, sc.order[:k])
 		}
 	}
 	for sc.nextLeaf(ts) {
@@ -284,53 +290,123 @@ func FindRangesMulti(ctx context.Context, d *core.Dataset, ks []int, sc *Scratch
 }
 
 // KSets enumerates the exact collection of k-sets of a 2-D dataset by
-// following the k-border through the sweep (Appendix B's 2-D case). Each
+// following the k-border through the sweep (Appendix B's 2-D case): the
+// top-k at θ = 0, then the top-k after each exchange at position k−1. Each
 // k-set is a sorted ID slice; the collection is returned in first-seen
-// (sweep) order.
+// (sweep) order. For k ≥ n it is the one set of every ID.
 func KSets(d *core.Dataset, k int) ([][]int, error) {
 	if k <= 0 {
 		return nil, errors.New("sweep: k must be positive")
 	}
-	order, err := InitialOrder(d)
-	if err != nil {
-		return nil, err
-	}
 	if k >= d.N() {
-		all := append([]int(nil), order...)
-		sort.Ints(all)
+		all, err := InitialOrder(d)
+		if err != nil {
+			return nil, err
+		}
+		slices.Sort(all)
 		return [][]int{all}, nil
 	}
-	cur := make(map[int]bool, k)
-	for _, id := range order[:k] {
-		cur[id] = true
+	sc := new(Scratch)
+	if err := sc.initBand(d, k); err != nil {
+		return nil, err
 	}
+	ts := d.Tuples()
 	var sets [][]int
 	seen := make(map[string]bool)
+	ids := make([]int, k)
+	// The first k of the order are the top-k: the band's at θ = 0, and
+	// after an exchange at position k−1 the loop's.
 	record := func() {
-		ids := make([]int, 0, k)
-		for id := range cur {
-			ids = append(ids, id)
+		for i, li := range sc.order[:k] {
+			ids[i] = ts[li].ID
 		}
-		sort.Ints(ids)
-		key := intsKey(ids)
-		if !seen[key] {
+		slices.Sort(ids)
+		if key := intsKey(ids); !seen[key] {
 			seen[key] = true
-			sets = append(sets, ids)
+			sets = append(sets, slices.Clone(ids))
 		}
 	}
 	record()
-	_, err = Sweep(d, func(e Event) bool {
-		if e.Pos == k-1 {
-			delete(cur, e.Above)
-			cur[e.Below] = true
-			record()
+	for sc.nextLeaf(ts) {
+		for {
+			_, p, ok := sc.step(ts)
+			if !ok {
+				break
+			}
+			if p == k-1 {
+				record()
+			}
 		}
-		return true
-	})
-	if err != nil {
-		return nil, err
 	}
 	return sets, nil
+}
+
+// Facet is one facet of the 2-D top-k border (the paper's Figure 3): over
+// the sweep-angle interval [From, To] (radians from the x1-axis) the k-th
+// ranked tuple is ID.
+type Facet struct {
+	ID       int
+	From, To float64
+}
+
+// KBorder computes the top-k border of a 2-D dataset: the chain of dual
+// facets whose crossings define every change of the top-k, in sweep
+// order. The facets tile [0, π/2], each has positive width, and
+// neighbouring facets belong to different tuples; a tuple may still own
+// several facets, as d(t3) does in Figure 3. k above n is clamped to n.
+//
+// The k-th tuple changes at every exchange at position k−2 or k−1. A
+// facet starts at the exchange's key, or at the largest key seen so far if
+// that is larger: inside a concurrent crossing the loop can apply a key a
+// few ulps below the one before it. Several exchanges at one key leave
+// only the last one's tuple, so no facet has zero width.
+func KBorder(d *core.Dataset, k int) ([]Facet, error) {
+	if k <= 0 {
+		return nil, errors.New("sweep: k must be positive")
+	}
+	k = min(k, d.N())
+	sc := new(Scratch)
+	if err := sc.initBand(d, k); err != nil {
+		return nil, err
+	}
+	ts := d.Tuples()
+	facets := []Facet{{ID: ts[sc.order[k-1]].ID}}
+	at := 0.0
+	for sc.nextLeaf(ts) {
+		for {
+			e, p, ok := sc.step(ts)
+			if !ok {
+				break
+			}
+			if p == k-1 || p == k-2 {
+				at = max(at, e.theta)
+				facets = turn(facets, ts[sc.order[k-1]].ID, at)
+			}
+		}
+	}
+	if n := len(facets); n > 1 && facets[n-1].From == geom.HalfPi {
+		facets = facets[:n-1] // opened at π/2 itself: no width
+	}
+	for i := range facets {
+		facets[i].To = geom.HalfPi
+		if i+1 < len(facets) {
+			facets[i].To = facets[i+1].From
+		}
+	}
+	return facets, nil
+}
+
+// turn moves the border onto tuple id at angle at, which is never below
+// the open facet's start. The open facet ends there; if it started there
+// too, it is dropped, and the facet before it stays open when it is id's.
+func turn(facets []Facet, id int, at float64) []Facet {
+	if n := len(facets); facets[n-1].From == at {
+		facets = facets[:n-1]
+		if n > 1 && facets[n-2].ID == id {
+			return facets
+		}
+	}
+	return append(facets, Facet{ID: id, From: at})
 }
 
 // intsKey encodes a sorted int slice as a compact map key.

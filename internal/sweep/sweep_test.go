@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -426,6 +427,115 @@ func TestKSetsWholeDataset(t *testing.T) {
 	}
 	if !sort.IntsAreSorted(sets[0]) {
 		t.Fatal("k-set not canonical")
+	}
+}
+
+// bruteKLevel computes the k-sets and the top-k border of a 2-D dataset
+// in general position by brute force: it sorts every pairwise crossing
+// angle and ranks the tuples with topk at the midpoint of each interval
+// between consecutive angles, where the ranking is constant. It reports
+// false when two angles lie within 1e-9 of each other, where a midpoint's
+// scores are within rounding of a crossing.
+func bruteKLevel(d *core.Dataset, k int) (sets [][]int, border []sweep.Facet, ok bool) {
+	ts := d.Tuples()
+	angles := []float64{0, geom.HalfPi}
+	for i := range ts {
+		for j := i + 1; j < len(ts); j++ {
+			if theta, crosses := geom.CrossAngle2D(ts[i], ts[j]); crosses {
+				angles = append(angles, theta)
+			}
+		}
+	}
+	sort.Float64s(angles)
+	seen := make(map[string]bool)
+	for i := 0; i+1 < len(angles); i++ {
+		lo, hi := angles[i], angles[i+1]
+		if hi-lo < 1e-9 {
+			return nil, nil, false
+		}
+		top := topk.TopK(d, geom.FuncFromAngle2D((lo+hi)/2), k)
+		if set := slices.Sorted(slices.Values(top)); !seen[keyOf(set)] {
+			seen[keyOf(set)] = true
+			sets = append(sets, set)
+		}
+		if n := len(border); n > 0 && border[n-1].ID == top[k-1] {
+			border[n-1].To = hi
+		} else {
+			border = append(border, sweep.Facet{ID: top[k-1], From: lo, To: hi})
+		}
+	}
+	return sets, border, true
+}
+
+// TestKLevelMatchesBruteForce: on the paper's Figure 1 and on random
+// float inputs in general position, KSets equals the brute-force
+// collection, first-seen order included, and KBorder the brute-force
+// border bit for bit: every facet ends at the crossing angle where the
+// k-th tuple changes.
+func TestKLevelMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	inputs := []*core.Dataset{paperfig.Figure1()}
+	for len(inputs) < 300 {
+		inputs = append(inputs, randomDataset2D(rng, 1+rng.Intn(30), false))
+	}
+	checked := 0
+	for trial, d := range inputs {
+		for k := 1; k <= d.N(); k++ {
+			wantSets, wantBorder, ok := bruteKLevel(d, k)
+			if !ok {
+				break
+			}
+			checked++
+			sets, err := sweep.KSets(d, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(sets, wantSets) {
+				t.Fatalf("trial %d k=%d: KSets\n got  %v\n want %v", trial, k, sets, wantSets)
+			}
+			border, err := sweep.KBorder(d, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(border, wantBorder) {
+				t.Fatalf("trial %d k=%d: KBorder\n got  %v\n want %v", trial, k, border, wantBorder)
+			}
+		}
+	}
+	if checked < 1000 {
+		t.Fatalf("only %d cases in general position", checked)
+	}
+	t.Logf("%d cases in general position", checked)
+}
+
+// TestKBorderErrors: KBorder rejects k ≤ 0 and a dataset that is not
+// 2-D, and clamps k above n to n, where the border is the chain of last
+// tuples.
+func TestKBorderErrors(t *testing.T) {
+	d := paperfig.Figure1()
+	for _, k := range []int{0, -1} {
+		if _, err := sweep.KBorder(d, k); err == nil {
+			t.Errorf("k=%d must error", k)
+		}
+	}
+	if _, err := sweep.KBorder(core.MustNewDataset([][]float64{{1, 2, 3}}), 1); err == nil {
+		t.Error("3-D input must error")
+	}
+	atN, err := sweep.KBorder(d, d.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{d.N() + 1, 99} {
+		got, err := sweep.KBorder(d, k)
+		if err != nil {
+			t.Fatalf("k=%d > n must clamp: %v", k, err)
+		}
+		if !reflect.DeepEqual(got, atN) {
+			t.Fatalf("k=%d: %v, want the k = n border %v", k, got, atN)
+		}
+	}
+	if _, want, _ := bruteKLevel(d, d.N()); !reflect.DeepEqual(atN, want) {
+		t.Fatalf("k = n: %v, want %v", atN, want)
 	}
 }
 
