@@ -48,7 +48,6 @@ func referenceKLevel(t testing.TB, d *core.Dataset, ks []int) []kLevel {
 		id int
 	}
 	out := make([]kLevel, len(ks))
-	inTop := make([]map[int]bool, len(ks))
 	seen := make([]map[string]bool, len(ks))
 	changes := make([][]change, len(ks))
 	addSet := func(i, k int) {
@@ -60,10 +59,8 @@ func referenceKLevel(t testing.TB, d *core.Dataset, ks []int) []kLevel {
 	}
 	for i, k := range ks {
 		out[i].ranges = make(map[int]Range)
-		inTop[i] = make(map[int]bool)
 		for _, id := range order[:k] {
 			out[i].ranges[id] = Range{ID: id}
-			inTop[i][id] = true
 		}
 		seen[i] = make(map[string]bool)
 		addSet(i, k)
@@ -76,11 +73,9 @@ func referenceKLevel(t testing.TB, d *core.Dataset, ks []int) []kLevel {
 				r := out[i].ranges[e.Above]
 				r.Hi = e.Theta
 				out[i].ranges[e.Above] = r
-				inTop[i][e.Above] = false
-				if _, seen := out[i].ranges[e.Below]; !seen {
+				if _, ok := out[i].ranges[e.Below]; !ok {
 					out[i].ranges[e.Below] = Range{ID: e.Below, Lo: e.Theta}
 				}
-				inTop[i][e.Below] = true
 				addSet(i, k)
 			}
 			if e.Pos == k-1 || e.Pos == k-2 {
@@ -97,13 +92,12 @@ func referenceKLevel(t testing.TB, d *core.Dataset, ks []int) []kLevel {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range ks {
-		for id, in := range inTop[i] {
-			if in {
-				r := out[i].ranges[id]
-				r.Hi = geom.HalfPi
-				out[i].ranges[id] = r
-			}
+	for i, k := range ks {
+		// The top-k at the end of the sweep stays in range to π/2.
+		for _, id := range order[:k] {
+			r := out[i].ranges[id]
+			r.Hi = geom.HalfPi
+			out[i].ranges[id] = r
 		}
 		var border []Facet
 		for j, c := range changes[i] {
