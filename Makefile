@@ -27,7 +27,9 @@ race:
 # decoder panics and non-canonical encodings before they reach a corpus,
 # any input on which the skyband-pruned, sector-bisected 2-D sweep
 # disagrees with the unfiltered one in its ranges, k-sets or k-border (for
-# one k, and for several in one FindRangesMulti pass), any on which the
+# one k, and for several in one FindRangesMulti pass) or the unfiltered
+# sweep's event order departs from a brute-force replay of its exchange
+# rule, any on which the
 # 2-D entry points (Solve, SolveInto, SolveBatch, algo.TwoDRRR, Profile2D)
 # disagree, any on which the early-exit top-k scan disagrees with the
 # full sort, any on which the dominator-count index disagrees with the

@@ -1,4 +1,11 @@
-package arrangement_test
+package sweep_test
+
+// The acceptance tests of the top-k level of the 2-D dual-line
+// arrangement (the paper's Section 3 and Figure 3): its k-sets and its
+// border, as KSets and KBorder read them off the event loop, checked
+// against the paper's Figure 1 example, against the one-pass Sweep,
+// against direct top-k queries and against the dual-line geometry. The
+// arrangement itself is never built.
 
 import (
 	"math"
@@ -8,20 +15,11 @@ import (
 	"sort"
 	"testing"
 
-	"rrr/internal/core"
 	"rrr/internal/geom"
 	"rrr/internal/paperfig"
 	"rrr/internal/sweep"
 	"rrr/internal/topk"
 )
-
-func randomDataset2D(rng *rand.Rand, n int) *core.Dataset {
-	points := make([][]float64, n)
-	for i := range points {
-		points[i] = []float64{rng.Float64(), rng.Float64()}
-	}
-	return core.MustNewDataset(points)
-}
 
 func sortedSets(sets [][]int) [][]int {
 	out := make([][]int, len(sets))
@@ -101,7 +99,7 @@ func TestBuildPaperFigure3(t *testing.T) {
 func TestCellsPartitionAndMatchDirectTopK(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 8; trial++ {
-		d := randomDataset2D(rng, 5+rng.Intn(25))
+		d := randomDataset2D(rng, 5+rng.Intn(25), false)
 		k := 1 + rng.Intn(4)
 		border, err := sweep.KBorder(d, k)
 		if err != nil {
@@ -135,7 +133,7 @@ func TestCellsPartitionAndMatchDirectTopK(t *testing.T) {
 func TestKSetsMatchSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 8; trial++ {
-		d := randomDataset2D(rng, 6+rng.Intn(30))
+		d := randomDataset2D(rng, 6+rng.Intn(30), false)
 		k := 1 + rng.Intn(4)
 		order, err := sweep.InitialOrder(d)
 		if err != nil {

@@ -11,15 +11,15 @@ import (
 	"rrr/internal/geom"
 )
 
-// Scratch is the sweep's arena and its one event loop: the rank order and
-// position arrays, the k-skyband heap, the event heap, the pending-pair
-// set, the sector bisection's state, and the boundary state of the
-// FindRanges kernels. Every consumer runs the loop through it — start,
-// then step until it reports no event before the loop's end — and keeps
-// its per-event bookkeeping in its own loop body, so no callback sits
-// between the loop and the consumer. A warm Scratch makes repeated sweeps
-// over same-sized datasets allocation-free: every slice is resized in
-// place and the pending set's table is rewiped, not reallocated.
+// Scratch is the sweep's arena and its one event loop: the initial order
+// (or its k-skyband), the order the loop sweeps, the band slots, the
+// event queue, the band passes' score heap, the sector bisection's state,
+// and the boundary state of the FindRanges kernels. Every consumer runs
+// the loop through it — start, then step until it reports no event before
+// the loop's end — and keeps its per-event bookkeeping in its own loop
+// body, so no callback sits between the loop and the consumer. A warm
+// Scratch makes repeated sweeps over same-sized datasets allocation-free:
+// every slice is resized in place, not reallocated.
 //
 // A Scratch is owned by exactly one sweep at a time: it is not safe for
 // concurrent use, and the []Range returned by FindRangesScratch aliases the
@@ -28,12 +28,10 @@ import (
 type Scratch struct {
 	initial []int // every local index in initial order, or its k-skyband
 	order   []int // the order the loop sweeps: initial, or a sector's band
-	pos     []int // position in order, by local index
 	slot    []int // band slot, by local index: see numberBand
-	heap    eventHeap
-	pending pairSet
+	queue   eventQueue
 	end     float64 // step applies only events keyed below end
-	events  int     // live exchanges applied since initOrder
+	events  int     // exchanges applied since initOrder
 	sorter  initialSorter
 	band    []float64 // the band passes' heap of scores
 	sectors bisection
@@ -66,26 +64,12 @@ func initialLess(a, b core.Tuple) bool {
 	return a.ID < b.ID
 }
 
-// growInts resizes s to n reusing capacity; contents are unspecified.
-func growInts(s []int, n int) []int {
+// grow resizes s to n reusing capacity; contents are unspecified.
+func grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]int, n)
-}
-
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]float64, n)
-}
-
-func growBytes(s []uint8, n int) []uint8 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]uint8, n)
+	return make([]T, n)
 }
 
 // initOrder fills sc.order with the initial rank order — every tuple's
@@ -95,7 +79,7 @@ func (sc *Scratch) initOrder(d *core.Dataset) error {
 	if d.Dims() != 2 {
 		return errors.New("sweep: requires a 2-D dataset")
 	}
-	sc.initial = growInts(sc.initial, d.N())
+	sc.initial = grow(sc.initial, d.N())
 	for i := range sc.initial {
 		sc.initial[i] = i
 	}
@@ -123,7 +107,7 @@ func (sc *Scratch) initBand(d *core.Dataset, k int) error {
 		return fmt.Errorf("%w: k=%d, n=%d", ErrKExceedsN, k, n)
 	}
 	ts := d.Tuples()
-	sc.band = growFloats(sc.band, n) // sized by n, not k, so any k reuses it
+	sc.band = grow(sc.band, n) // sized by n, not k, so any k reuses it
 	sc.order, sc.band = skyband(ts, sc.order, k, sc.band)
 	sc.bisect(ts, k)
 	return nil
@@ -132,20 +116,10 @@ func (sc *Scratch) initBand(d *core.Dataset, k int) error {
 // start begins a sweep over sc.order, which holds local indexes of ts in
 // the loop's order at the sweep's first angle — all of them in initial
 // order, or a sector's band — that ends before the first event keyed at
-// or above end. It sets the positions, empties the event queue and
-// schedules every adjacent pair. Local indexes stay dataset-wide, so pos
-// and the pending-pair key keep their full size len(ts) whatever the
-// order covers. The event heap and the pending set are sized up front
-// for one event per adjacent pair, so a cold arena does not grow them one
-// doubling at a time.
+// or above end. It empties the event queue and schedules every adjacent
+// pair. The queue is sized by the order, not by len(ts).
 func (sc *Scratch) start(ts []core.Tuple, end float64) {
-	sc.pos = growInts(sc.pos, len(ts))
-	for p, li := range sc.order {
-		sc.pos[li] = p
-	}
-	sc.heap = slices.Grow(sc.heap[:0], len(sc.order))
-	sc.pending.reserve(len(sc.order))
-	sc.pending.reset()
+	sc.queue.reset(len(sc.order))
 	sc.end = end
 	for p := 0; p < len(sc.order)-1; p++ {
 		sc.schedule(p, ts)
@@ -163,54 +137,46 @@ func crossing(above, below core.Tuple) (float64, bool) {
 	return geom.CrossAngle2D(above, below)
 }
 
-// schedule pushes the exchange event for the adjacent pair at positions
-// (p, p+1) when it will cross ahead of the sweep.
+// schedule queues the exchange of the adjacent pair at positions
+// (p, p+1) when the pair crosses ahead of the sweep, replacing the entry
+// the position holds. A pair that does not cross has no entry to drop.
+// An adjacent pair crosses exactly when its lower tuple is higher on x2
+// (no tuple ever passes one that weakly dominates it, so the upper one is
+// then higher on x1), and an exchange moves the higher-x2 tuple up: a
+// neighbouring pair that crossed before the exchange still does after it.
 func (sc *Scratch) schedule(p int, ts []core.Tuple) {
 	if p < 0 || p+1 >= len(sc.order) {
 		return
 	}
-	u, v := sc.order[p], sc.order[p+1]
-	theta, ok := crossing(ts[u], ts[v])
-	if !ok {
-		return
+	above := sc.order[p]
+	if theta, ok := crossing(ts[above], ts[sc.order[p+1]]); ok {
+		sc.queue.set(queued{theta: theta, above: above, pos: p})
 	}
-	if !sc.pending.insert(int64(u)*int64(len(ts)) + int64(v)) {
-		return
-	}
-	sc.heap.push(event{theta: theta, above: u, below: v})
 }
 
-// step advances the sweep to its next live exchange: it pops events until
-// one still names an adjacent pair, swaps the pair in the order,
-// reschedules the pairs the swap made adjacent, and returns the exchange
-// with the position p it happened at (e.above moved from p to p+1). ok is
-// false once no event keyed below the sweep's end is left. ts must be the
-// slice start was given.
+// step advances the sweep to its next exchange: it pops the queue's
+// earliest entry, swaps its pair in the order, rekeys the pairs at p−1
+// and p+1 that the swap made, and returns the exchange with the position
+// p it happened at (e.above moved from p to p+1). ok is false once no
+// event keyed below the sweep's end is left. ts must be the slice start
+// was given.
 //
-// A scheduled event that finds its pair no longer adjacent is discarded:
-// the pair is rescheduled when it becomes adjacent again, which must
-// happen before its true crossing angle. That is the classic
-// arrangement-sweep recipe, and it handles concurrent crossings (three or
-// more tuples exchanging at one angle) without the general-position
-// assumption the paper makes.
+// Every adjacent pair that crosses ahead is queued at all times, so a
+// concurrent crossing (three or more tuples exchanging at one angle)
+// needs no special case: it comes out as adjacent swaps in (key, upper
+// tuple) order, without the general-position assumption the paper makes.
 func (sc *Scratch) step(ts []core.Tuple) (e event, p int, ok bool) {
-	n := int64(len(ts))
-	for len(sc.heap) > 0 && sc.heap[0].theta < sc.end {
-		e = sc.heap.pop()
-		sc.pending.remove(int64(e.above)*n + int64(e.below))
-		p = sc.pos[e.above]
-		if p+1 >= len(sc.order) || sc.order[p+1] != e.below {
-			continue // stale: pair separated; rescheduled on re-adjacency
-		}
-		sc.events++
-		sc.order[p], sc.order[p+1] = e.below, e.above
-		sc.pos[e.above] = p + 1
-		sc.pos[e.below] = p
-		sc.schedule(p-1, ts)
-		sc.schedule(p+1, ts)
-		return e, p, true
+	next, ok := sc.queue.pop(sc.end)
+	if !ok {
+		return event{}, 0, false
 	}
-	return event{}, 0, false
+	p = next.pos
+	e = event{theta: next.theta, above: next.above, below: sc.order[p+1]}
+	sc.order[p], sc.order[p+1] = e.below, e.above
+	sc.events++
+	sc.schedule(p-1, ts)
+	sc.schedule(p+1, ts)
+	return e, p, true
 }
 
 // canceled reports whether the sweep should stop for ctx: it checks the
@@ -236,7 +202,7 @@ func (sc *Scratch) ctxErr(ctx context.Context) error {
 // by slot: only band tuples ever enter a top-k, so a tracker is sized by
 // the band rather than by n.
 func (sc *Scratch) numberBand(n int) int {
-	sc.slot = growInts(sc.slot, n)
+	sc.slot = grow(sc.slot, n)
 	for li := range sc.slot {
 		sc.slot[li] = -1
 	}
@@ -269,9 +235,9 @@ type boundary struct {
 // before either is read.
 func (b *boundary) reset(slot []int, slots int, top []int) {
 	b.slot = slot
-	b.lo = growFloats(b.lo, slots)
-	b.hi = growFloats(b.hi, slots)
-	b.flags = growBytes(b.flags, slots)
+	b.lo = grow(b.lo, slots)
+	b.hi = grow(b.hi, slots)
+	b.flags = grow(b.flags, slots)
 	clear(b.flags)
 	for _, li := range top {
 		b.lo[slot[li]] = 0

@@ -36,13 +36,15 @@ type kLevel struct {
 //     merge, and a change at π/2 itself is dropped.
 //
 // It is the oracle for the band-loop kernels, which must agree with it bit
-// for bit.
+// for bit. The stream it replays must itself equal bruteEvents', so the
+// loop's event order is pinned too.
 func referenceKLevel(t testing.TB, d *core.Dataset, ks []int) []kLevel {
 	t.Helper()
 	order, err := InitialOrder(d)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var stream []Event
 	type change struct {
 		at float64
 		id int
@@ -67,6 +69,7 @@ func referenceKLevel(t testing.TB, d *core.Dataset, ks []int) []kLevel {
 		changes[i] = []change{{0, order[k-1]}}
 	}
 	_, err = Sweep(d, func(e Event) bool {
+		stream = append(stream, e)
 		order[e.Pos], order[e.Pos+1] = e.Below, e.Above
 		for i, k := range ks {
 			if e.Pos == k-1 {
@@ -91,6 +94,9 @@ func referenceKLevel(t testing.TB, d *core.Dataset, ks []int) []kLevel {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want := bruteEvents(t, d); !slices.Equal(stream, want) {
+		t.Fatalf("n=%d: Sweep's events\n got  %v\n want %v\n points %v", d.N(), stream, want, d.Tuples())
 	}
 	for i, k := range ks {
 		// The top-k at the end of the sweep stays in range to π/2.
@@ -118,6 +124,52 @@ func referenceKLevel(t testing.TB, d *core.Dataset, ks []int) []kLevel {
 	return out
 }
 
+// bruteEvents replays the loop's exchange rule by brute force: from the
+// initial order, it scans every adjacent pair, takes the earliest
+// (key, upper tuple's local index) among the pairs that crossing says
+// cross ahead, swaps it, and repeats until no pair does. It shares
+// crossing and the initial order with the event loop, and nothing of its
+// queue. Each pair's key is kept until a swap changes the pair.
+func bruteEvents(t testing.TB, d *core.Dataset) []Event {
+	t.Helper()
+	var sc Scratch
+	if err := sc.initOrder(d); err != nil {
+		t.Fatal(err)
+	}
+	ts, order := d.Tuples(), sc.order
+	keys := make([]float64, max(len(order)-1, 0)) // +Inf: the pair never crosses ahead
+	rekey := func(p int) {
+		if p < 0 || p >= len(keys) {
+			return
+		}
+		keys[p] = math.Inf(1)
+		if theta, ok := crossing(ts[order[p]], ts[order[p+1]]); ok {
+			keys[p] = theta
+		}
+	}
+	for p := range keys {
+		rekey(p)
+	}
+	var events []Event
+	for {
+		at := -1
+		for p, key := range keys {
+			if !math.IsInf(key, 1) && (at < 0 || key < keys[at] || key == keys[at] && order[p] < order[at]) {
+				at = p
+			}
+		}
+		if at < 0 {
+			return events
+		}
+		above, below := order[at], order[at+1]
+		events = append(events, Event{Theta: keys[at], Pos: at, Above: ts[above].ID, Below: ts[below].ID})
+		order[at], order[at+1] = below, above
+		rekey(at - 1)
+		rekey(at)
+		rekey(at + 1)
+	}
+}
+
 // strictDominators counts, for every local index, the tuples greater on
 // both attributes — by brute force.
 func strictDominators(d *core.Dataset) []int {
@@ -134,8 +186,9 @@ func strictDominators(d *core.Dataset) []int {
 }
 
 // checkSkyband holds the band-loop kernels to the unfiltered oracle on
-// one dataset and every k in ks: FindRangesScratch (on the shared, warm
-// sc) and FindRanges must equal referenceKLevel's ranges, one
+// one dataset and every k in ks, after the oracle's Sweep stream has
+// matched the brute-force event order: FindRangesScratch (on the shared,
+// warm sc) and FindRanges must equal referenceKLevel's ranges, one
 // FindRangesMulti call must return FindRangesScratch's slices exactly,
 // order included, KSets and KBorder must equal its k-sets and border, and
 // the skyband pass must keep exactly the tuples with fewer than k strict
@@ -265,9 +318,10 @@ func degenerateDataset(rng *rand.Rand, family, n int) *core.Dataset {
 }
 
 // TestSkybandMatchesUnfilteredSweepDegenerate: on tie-heavy inputs with
-// n ≤ 15 and every k in [1, n], pruning to the k-skyband changes no
-// range, k-set or border facet, and the pass drops exactly the tuples
-// with k strict dominators.
+// n ≤ 15 and every k in [1, n], the unfiltered sweep's events follow the
+// brute-force replay, pruning to the k-skyband changes no range, k-set or
+// border facet, and the pass drops exactly the tuples with k strict
+// dominators.
 func TestSkybandMatchesUnfilteredSweepDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	trials := 3000
@@ -328,9 +382,9 @@ func TestSkybandMatchesUnfilteredSweepGenerators(t *testing.T) {
 	}
 }
 
-// FuzzFindRanges runs the skyband equivalence oracle (ranges, k-sets and
-// the k-border) on fuzzer-chosen inputs: up to 12 points on a 6×6 grid
-// (two bytes per point) and a k in [1, n].
+// FuzzFindRanges runs the skyband equivalence oracle (the event order,
+// ranges, k-sets and the k-border) on fuzzer-chosen inputs: up to 12
+// points on a 6×6 grid (two bytes per point) and a k in [1, n].
 func FuzzFindRanges(f *testing.F) {
 	f.Add([]byte{0, 5, 1, 4, 2, 3, 3, 2, 4, 1, 5, 0}, uint8(2))
 	f.Add([]byte{3, 3, 3, 3, 3, 3, 1, 1, 5, 5}, uint8(1))
@@ -452,10 +506,10 @@ func TestFindRangesScratchAllocFree(t *testing.T) {
 	}
 }
 
-// FuzzFindRangesMulti runs the oracle on one FindRangesMulti call over
-// two or three k values, and on KSets and KBorder at each: up to 12
-// points on a 6×6 grid (two bytes per point), and each k in [1, n]; a
-// zero third byte leaves it out.
+// FuzzFindRangesMulti runs the oracle, event order included, on one
+// FindRangesMulti call over two or three k values, and on KSets and
+// KBorder at each: up to 12 points on a 6×6 grid (two bytes per point),
+// and each k in [1, n]; a zero third byte leaves it out.
 func FuzzFindRangesMulti(f *testing.F) {
 	f.Add([]byte{0, 5, 1, 4, 2, 3, 3, 2, 4, 1, 5, 0}, uint8(1), uint8(3), uint8(0))
 	f.Add([]byte{3, 3, 3, 3, 3, 3, 1, 1, 5, 5}, uint8(0), uint8(2), uint8(4))

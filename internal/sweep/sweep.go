@@ -3,11 +3,13 @@
 // y-axis (θ = π/2, f = x2) while the package tracks every ordering exchange
 // between adjacent tuples (Algorithm 1's event loop).
 //
-// There is one event loop, on Scratch: start schedules the adjacent pairs
-// of an order — the initial one, or a sector's band at the sector's first
-// angle — and step applies the next live exchange keyed before the
-// sweep's end and returns it with its position. Every consumer drives
-// that loop and keeps its per-event bookkeeping in its own loop body:
+// There is one event loop, on Scratch: start keys every adjacent pair of
+// an order — the initial one, or a sector's band at the sector's first
+// angle — in an indexed event heap that holds one entry per pair crossing
+// ahead, and step applies the earliest exchange keyed before the sweep's
+// end, rekeys the two pairs it makes, and returns it with its position.
+// Every consumer drives that loop and keeps its per-event bookkeeping in
+// its own loop body:
 //
 //   - FindRangesScratch (Algorithm 1): for every tuple, the first and last
 //     angle at which it belongs to the top-k; the convex closure of its
@@ -28,6 +30,8 @@
 //
 // The sweep performs O(E log n) work where E ≤ n(n−1)/2 is the number of
 // ordering exchanges, matching the paper's quadratic bound (Theorem 2).
+// The loop's state, the event heap and its position index, is sized by
+// the order it sweeps, not by n.
 // The k-level consumers (FindRanges*, KSets and KBorder) read only the
 // exchanges at positions below k, where the top-k border lives. They first
 // drop, in O(n log k), every tuple that k others beat on both attributes
@@ -94,68 +98,20 @@ func InitialOrder(d *core.Dataset) ([]int, error) {
 	return ids, nil
 }
 
-// event is the internal heap entry, holding dataset-local indexes.
+// event is an exchange as the loop applies it, with dataset-local
+// indexes.
 type event struct {
 	theta        float64
 	above, below int // local indexes
-}
-
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].theta != h[j].theta {
-		return h[i].theta < h[j].theta
-	}
-	if h[i].above != h[j].above {
-		return h[i].above < h[j].above
-	}
-	return h[i].below < h[j].below
-}
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(i, p) {
-			break
-		}
-		(*h)[i], (*h)[p] = (*h)[p], (*h)[i]
-		i = p
-	}
-}
-
-func (h *eventHeap) pop() event {
-	old := *h
-	top := old[0]
-	last := len(old) - 1
-	old[0] = old[last]
-	*h = old[:last]
-	i, n := 0, last
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && h.less(l, m) {
-			m = l
-		}
-		if r < n && h.less(r, m) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		(*h)[i], (*h)[m] = (*h)[m], (*h)[i]
-		i = m
-	}
-	return top
 }
 
 // Sweep rotates the ray across (0, π/2) and invokes visit for every
 // ordering exchange, in non-decreasing angle order. Returning false from
 // visit stops the sweep early. The total number of events is returned.
 // Sweep is the event loop's oracle-facing form: it sweeps every tuple, so
-// each Event's Pos is the true 0-based rank (see Scratch.step for how
-// the queue handles concurrent crossings).
+// each Event's Pos is the true 0-based rank. Events at one angle, as in a
+// concurrent crossing, come in the loop's order: by key, then by the
+// upper tuple's dataset-local index (see Scratch.step).
 func Sweep(d *core.Dataset, visit func(Event) bool) (int, error) {
 	sc := new(Scratch)
 	if err := sc.initOrder(d); err != nil {
